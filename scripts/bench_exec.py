@@ -90,9 +90,10 @@ def main() -> int:
     # One discarded warm-up run: the first trip through the simulator
     # pays interpreter cold-start (code-object caches, allocator
     # arenas) that the steady-state lanes should not include.
-    from repro.exec.spec import RunSpec, run_spec  # noqa: E402
+    from repro.exec.spec import RunSpec  # noqa: E402
+    from repro.measure import measure_spec  # noqa: E402
 
-    run_spec(
+    measure_spec(
         RunSpec(
             workload=MemcachedWorkload(),
             target_utilization=0.7,

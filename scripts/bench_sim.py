@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Benchmark the simulation hot path itself.
 
-Boots one Treadmill-vs-memcached bench (the same shape ``run_spec``
-builds) and drives the event loop in timed slices, reporting
+Boots one Treadmill-vs-memcached bench (the same shape the simulator
+backend builds for a plain ``RunSpec``) and drives the event loop in timed slices, reporting
 
 * sustained **events/s** and **requests/s** of the kernel,
 * the **p50/p99 per-event step cost** in nanoseconds, measured over
@@ -45,7 +45,7 @@ from repro.workloads.memcached import MemcachedWorkload  # noqa: E402
 
 
 def build_bench(args):
-    """One server + N Treadmill instances, same wiring as run_spec."""
+    """One server + N Treadmill instances, same wiring as the backend."""
     bench = TestBench(
         BenchConfig(workload=MemcachedWorkload(), seed=args.seed), run_index=0
     )
@@ -130,7 +130,7 @@ def run_measurement(args):
     return bench, instances, step_ns, wall_s
 
 
-def bench_run_spec(args):
+def bench_spec(args):
     """The bench workload as a RunSpec (the partitioned lane's unit).
 
     Same shape as ``build_bench`` — one memcached server, N Treadmill
@@ -155,41 +155,31 @@ def bench_run_spec(args):
 def run_partitioned_lane(args, partition_counts):
     """Events/s of the sharded kernel vs the serial reference.
 
-    For each partition count: build the bench as N sub-kernels, drive
-    it through the conservative window protocol, and fingerprint the
-    merged ``RunResult`` against the serial kernel's.  The gate is
-    ``outputs_identical`` — bit-identity, never wall-clock.
+    For each partition count: build the bench spec as N sub-kernels
+    with the backend's own builder, drive it through the conservative
+    window protocol, finish it through the backend's own result
+    assembly, and fingerprint the ``RunResult`` against the serial
+    kernel's.  The gate is ``outputs_identical`` — bit-identity, never
+    wall-clock.
     """
+    from repro.core.bench import run_without_gc  # noqa: E402
     from repro.exec.spec import result_fingerprint  # noqa: E402
     from repro.measure.simbackend import (  # noqa: E402
         _drive_single_server,
-        build_single_partitioned,
-        merge_single_partials,
-    )
-    from repro.sim.partition import (  # noqa: E402
-        collect_partial,
-        drive_partitioned,
+        _finish_single,
+        build_single,
     )
 
-    spec = bench_run_spec(args)
-    serial = _drive_single_server(spec)
-    reference = result_fingerprint(serial)
+    spec = bench_spec(args)
+    reference = result_fingerprint(_drive_single_server(spec))
     lanes = []
     all_identical = True
     for n in partition_counts:
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
         t0 = time.perf_counter()
-        try:
-            build = build_single_partitioned(spec, n)
-            stats = drive_partitioned(build)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        bench, instances = build_single(spec, n)
+        stats = run_without_gc(bench, instances)
         wall_s = time.perf_counter() - t0
-        partials = [collect_partial(build, s) for s in range(n)]
-        result = merge_single_partials(spec, partials, wall_s)
+        result = _finish_single(spec, bench, instances, wall_s)
         identical = result_fingerprint(result) == reference
         all_identical = all_identical and identical
         boundary_fraction = (
@@ -306,8 +296,8 @@ def main() -> int:
         "rng_batch_hit_rate": round(hit_rate, 6),
         "rng_draws": draws,
         "rng_block_refills": refills,
-        #: Wall-clock speedup from the multi-process mode only means
-        #: anything with real cores; the identity gate holds anywhere.
+        #: Whether this host has real cores for parallel lanes; the
+        #: identity gate holds anywhere.
         "parallel_meaningful": parallel_meaningful(),
         "partitioned": lanes,
         #: The acceptance gate: every partition count reproduced the

@@ -20,6 +20,7 @@ machines; all routing stays here.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -30,7 +31,13 @@ from ..sim.rng import RngRegistry
 from ..sim.tcpdump import PacketCapture
 from ..workloads.base import Request, Workload
 
-__all__ = ["BenchConfig", "TestBench", "drive_until", "drive_to_completion"]
+__all__ = [
+    "BenchConfig",
+    "TestBench",
+    "drive_until",
+    "drive_to_completion",
+    "run_without_gc",
+]
 
 
 def drive_until(sim: Simulator, predicate: Callable[[], bool], check_every: int = 256) -> None:
@@ -68,6 +75,23 @@ def drive_to_completion(sim: Simulator, instances) -> None:
         inst.stop()
     # Let in-flight requests and responses finish.
     sim.run()
+
+
+def run_without_gc(bench, instances):
+    """``bench.run_to_completion(instances)`` with cyclic GC paused.
+
+    The event loop allocates no reference cycles, so cyclic-GC passes
+    in the middle of a run are pure overhead.  The collector's prior
+    state is restored even on error.
+    """
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        return bench.run_to_completion(instances)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -218,6 +242,21 @@ class TestBench:
         """
         drive_until(self.sim, predicate, check_every)
 
-    def run_to_completion(self, instances) -> None:
-        """Run until every instance reports done, then drain in-flight work."""
+    def run_to_completion(self, instances):
+        """Run until every instance reports done, then drain in-flight work.
+
+        A partitioned bench runs its sub-kernels in conservative windows
+        and returns the window loop's
+        :class:`~repro.sim.partition.CoordinatorStats`.
+        """
+        if self._partition is not None:
+            return self._partition.run_to_completion(
+                instances, (), self.topology.lookahead_us()
+            )
         drive_to_completion(self.sim, instances)
+        return None
+
+    @property
+    def events_processed(self) -> int:
+        """Events executed so far, over every sub-kernel if partitioned."""
+        return (self._partition or self.sim).events_processed

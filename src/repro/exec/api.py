@@ -27,9 +27,7 @@ Three pieces live here:
   to a live executor.  SSH or k8s fan-outs later plug in here
   without touching any driver.
 
-The pre-registry spelling ``make_executor(jobs=N, **pool_kwargs)``
-keeps working but emits a :class:`DeprecationWarning`; new code names
-the backend::
+Executors are always built from a backend name::
 
     make_executor("process", options=ProcessOptions(workers=8))
     make_executor("cluster", workers=3)          # option kwargs inline
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -347,52 +344,19 @@ def _options_for(info: BackendInfo, options: object, kwargs: Dict[str, object]) 
 
 
 def make_executor(
-    backend: object = "serial",
+    backend: str = "serial",
     *,
     options: object = None,
     task: Callable[[object], object] = measure_spec,
     cache: Optional[ResultCache] = None,
     cache_dir: Optional[os.PathLike] = None,
-    jobs: Optional[int] = None,
     **option_kwargs: object,
 ) -> Executor:
-    """Build an executor from a registered backend name.
-
-    New spelling::
+    """Build an executor from a registered backend name::
 
         make_executor("process", options=ProcessOptions(workers=8))
         make_executor("cluster", workers=3, lease_s=30.0)
-
-    Deprecated spelling (still honored, with a ``DeprecationWarning``)::
-
-        make_executor(4)           # jobs as the first positional
-        make_executor(jobs=4, timeout=60.0, retries=2)
     """
-    # ---- legacy surface -------------------------------------------------
-    if isinstance(backend, int):
-        if jobs is not None:
-            raise TypeError("pass jobs positionally or by keyword, not both")
-        jobs, backend = backend, None
-    if jobs is not None:
-        warnings.warn(
-            "make_executor(jobs=N, **pool_kwargs) is deprecated and will be "
-            "removed in version 2.0; migrate to make_executor('serial') or "
-            "make_executor('process', options=ProcessOptions(workers=N, ...)) "
-            "(see exec/API.md, 'Deprecated surface')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if backend not in (None, "serial", "process"):
-            raise TypeError("jobs= only applies to the serial/process backends")
-        if jobs <= 1:
-            backend, option_kwargs = "serial", {}
-        else:
-            backend = "process"
-            option_kwargs = dict(option_kwargs)
-            option_kwargs.setdefault("workers", jobs)
-            # legacy kwarg names
-            if "max_workers" in option_kwargs:
-                option_kwargs["workers"] = option_kwargs.pop("max_workers")
     if not isinstance(backend, str):
         raise TypeError(f"backend must be a registry name, got {backend!r}")
 

@@ -1,10 +1,13 @@
 """The simulator measurement backend ("sim").
 
-The historical execution semantics of :func:`repro.exec.spec.run_spec`,
-now behind the :class:`~repro.measure.api.MeasurementBackend` protocol:
-one spec == one of the paper's independent runs == one fresh
+The library's historical execution semantics behind the
+:class:`~repro.measure.api.MeasurementBackend` protocol: one spec ==
+one of the paper's independent runs == one fresh
 :class:`~repro.core.bench.TestBench` boot in virtual time.  Scenario
-specs route through the multi-pool scenario runtime.
+specs route through the multi-pool scenario runtime.  A spec with
+``partitions`` set shards the same bench across that many sub-kernels
+(:mod:`repro.sim.partition`) and finishes through the same result
+assembly, bit-identical to the serial kernel.
 
 This backend is the determinism anchor of the library — equal spec ⇒
 bit-identical result in any process — which is why it alone declares
@@ -14,12 +17,11 @@ serial-vs-parallel identity gates.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass
 
 from ..core.aggregation import aggregate_quantile
-from ..core.bench import BenchConfig, TestBench
+from ..core.bench import BenchConfig, TestBench, run_without_gc
 from ..core.treadmill import TreadmillConfig, TreadmillInstance
 from .api import BenchCapabilities, register_measurement_backend
 
@@ -28,42 +30,29 @@ __all__ = ["SimOptions", "SimBackend"]
 
 @dataclass(frozen=True)
 class SimOptions:
-    """Options for the simulator backend.
+    """Options for the simulator backend (it takes none).
 
     Everything that influences a simulated *result* must live in the
     :class:`~repro.exec.spec.RunSpec` content digest, or equal specs
     would stop implying equal results and the cache contract would
-    break.  ``partition_mode`` qualifies as environment-only precisely
-    because both modes are pinned bit-identical to the serial kernel:
-    it changes how the answer is computed, never the answer.
+    break; ``RunSpec.partitions`` is the one digest-neutral execution
+    knob, because every partition count is pinned bit-identical to the
+    serial kernel.
     """
-
-    #: How ``RunSpec.partitions`` executes: ``"inproc"`` (windowed
-    #: sub-kernels in this process, the correctness reference) or
-    #: ``"process"`` (one worker process per shard over the frame
-    #: protocol).  Ignored when the spec requests no partitioning.
-    partition_mode: str = "inproc"
 
 
 class _SimRun:
     """One prepared simulator experiment (``MeasurementRun``)."""
 
-    def __init__(self, spec, options: "SimOptions | None" = None) -> None:
+    def __init__(self, spec) -> None:
         self.spec = spec
-        self.options = options if options is not None else SimOptions()
 
     def drive(self):
         spec = self.spec
         if spec.scenario is not None:
             from ..scenarios.runtime import _execute_scenario_spec
 
-            return _execute_scenario_spec(
-                spec, partition_mode=self.options.partition_mode
-            )
-        if spec.partitions is not None:
-            return _drive_single_partitioned(
-                spec, spec.partitions, self.options.partition_mode
-            )
+            return _execute_scenario_spec(spec)
         return _drive_single_server(spec)
 
 
@@ -74,7 +63,7 @@ class SimBackend:
         self.options = options if options is not None else SimOptions()
 
     def prepare(self, spec) -> _SimRun:
-        return _SimRun(spec, self.options)
+        return _SimRun(spec)
 
     def capabilities(self) -> BenchCapabilities:
         return BenchCapabilities(
@@ -93,108 +82,28 @@ class SimBackend:
         return None
 
 
-def _drive_single_server(spec):
-    """The legacy single-server body: boot, load, measure, report.
+def build_single(spec, n_shards: "int | None" = None):
+    """Boot the single-server bench and its Treadmill instances.
 
-    Pure function of ``spec``: same spec, same result, in any process
-    (the serial-vs-parallel determinism guarantee rests here).
+    Returns ``(bench, instances)`` with every instance started.  With
+    ``n_shards`` the bench is sharded across that many sub-kernels: the
+    single server keeps shard 0 and clients round-robin over the rest
+    (one rack, so the split is within-rack).  Pure function of its
+    arguments.
     """
-    from ..exec.spec import RunResult, metric_samples
-
-    t0 = time.perf_counter()
-    bench = TestBench(
-        BenchConfig(workload=spec.workload, hardware=spec.hardware, seed=spec.seed),
-        run_index=spec.run_index,
-    )
-    if spec.total_rate_rps is not None:
-        total_rate = spec.total_rate_rps
-    else:
-        per_us = bench.server.arrival_rate_for_utilization(spec.target_utilization)
-        total_rate = per_us * 1e6
-    rate_per_instance = total_rate / spec.num_instances
-    instances = []
-    for i in range(spec.num_instances):
-        tm_cfg = TreadmillConfig(
-            rate_rps=rate_per_instance,
-            connections=spec.connections_per_instance,
-            warmup_samples=spec.warmup_samples,
-            measurement_samples=spec.measurement_samples_per_instance,
-            keep_raw=spec.keep_raw,
-        )
-        instances.append(TreadmillInstance(bench, f"client{i}", tm_cfg))
-    for inst in instances:
-        inst.start()
-    # The event loop allocates no reference cycles; cyclic-GC passes in
-    # the middle of a run are pure overhead.  Restore the collector's
-    # prior state even on error.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        bench.run_to_completion(instances)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    reports = [inst.report() for inst in instances]
-    return _finish_single(
-        spec,
-        reports,
-        server_utilization=bench.server.measured_utilization(),
-        client_utilizations={
-            name: client.utilization() for name, client in bench.clients.items()
-        },
-        events_processed=bench.sim.events_processed,
-        wall_s=time.perf_counter() - t0,
-    )
-
-
-def _finish_single(
-    spec, reports, *, server_utilization, client_utilizations,
-    events_processed, wall_s,
-):
-    """Metric aggregation + RunResult assembly shared by the serial
-    and partitioned single-server paths (one assembly, one byte
-    layout)."""
-    from ..exec.spec import RunResult, metric_samples
-
-    samples_by_client = {r.name: metric_samples(r) for r in reports}
-    metrics = {
-        q: aggregate_quantile(samples_by_client, q, combine=spec.combine)
-        for q in spec.quantiles
-    }
-    return RunResult(
-        run_index=spec.run_index,
-        reports=reports,
-        metrics=metrics,
-        server_utilization=server_utilization,
-        client_utilizations=client_utilizations,
-        spec_digest=spec.digest(),
-        wall_s=wall_s,
-        events_processed=events_processed,
-    )
-
-
-# ----------------------------------------------------------------------
-# partitioned execution (sharded sub-kernels, bit-identical to serial)
-# ----------------------------------------------------------------------
-def build_single_partitioned(spec, n_shards: int):
-    """Build the single-server bench sharded across ``n_shards``.
-
-    Pure function of ``(spec, n_shards)``; every worker process calls
-    this identically and executes only its own shard.  The single
-    server keeps shard 0; clients round-robin over the remaining
-    shards (one rack, so the split is within-rack).
-    """
-    from ..sim.partition import PartitionedBuild, PartitionedSimulator, assign_shards
-
     config = BenchConfig(
         workload=spec.workload, hardware=spec.hardware, seed=spec.seed
     )
-    hosts = [(config.server_name, config.server_rack)]
-    hosts += [(f"client{i}", config.server_rack) for i in range(spec.num_instances)]
-    partition = PartitionedSimulator(n_shards)
-    partition.assign(assign_shards(hosts, n_shards))
+    partition = None
+    if n_shards is not None:
+        from ..sim.partition import PartitionedSimulator, assign_shards
+
+        hosts = [(config.server_name, config.server_rack)]
+        hosts += [
+            (f"client{i}", config.server_rack) for i in range(spec.num_instances)
+        ]
+        partition = PartitionedSimulator(n_shards)
+        partition.assign(assign_shards(hosts, n_shards))
     bench = TestBench(config, run_index=spec.run_index, partition=partition)
     if spec.total_rate_rps is not None:
         total_rate = spec.total_rate_rps
@@ -212,82 +121,46 @@ def build_single_partitioned(spec, n_shards: int):
             keep_raw=spec.keep_raw,
         )
         instances.append(TreadmillInstance(bench, f"client{i}", tm_cfg))
-    instance_shards = {}
     for inst in instances:
-        shard = partition.shard_of(inst.name)
-        instance_shards[inst.name] = shard
-        inst.on_done = partition.completion_recorder(shard)
         inst.start()
-    return PartitionedBuild(
-        partition=partition,
-        bench=bench,
-        instances=instances,
-        antagonists=[],
-        instance_shards=instance_shards,
-        servers=[
-            (
-                partition.shard_of(config.server_name),
-                config.server_name,
-                bench.server,
-            )
-        ],
-        lookahead=bench.topology.lookahead_us(),
-    )
+    return bench, instances
 
 
-def merge_single_partials(spec, partials, wall_s: float):
-    """Merge per-shard partial results into the single-server RunResult.
+def _drive_single_server(spec):
+    """The single-server body: boot, load, measure, report.
 
-    Used by both execution modes — the in-process reference collects
-    the same partial dicts locally that workers ship over the wire —
-    so there is exactly one merge path to pin bit-identical.
+    Pure function of ``spec``: same spec, same result, in any process
+    and at any ``spec.partitions`` (the serial-vs-parallel and
+    serial-vs-sharded determinism guarantees rest here).
     """
-    reports_by = {}
-    client_utils_by = {}
-    server_utils_by = {}
-    events = 0
-    for partial in partials:
-        reports_by.update(partial["reports"])
-        client_utils_by.update(partial["client_utils"])
-        server_utils_by.update(partial["server_utils"])
-        events += partial["events"]
-    names = [f"client{i}" for i in range(spec.num_instances)]
-    return _finish_single(
-        spec,
-        [reports_by[name] for name in names],
-        server_utilization=server_utils_by[next(iter(server_utils_by))],
-        client_utilizations={name: client_utils_by[name] for name in names},
-        events_processed=events,
-        wall_s=wall_s,
-    )
-
-
-def _drive_single_partitioned(spec, n_shards: int, mode: str):
-    from ..sim.partition import collect_partial, drive_partitioned
-
-    if mode == "process":
-        from .partitionproc import run_partitioned_process
-
-        return run_partitioned_process(
-            spec,
-            n_shards,
-            builder_ref="repro.measure.simbackend:build_single_partitioned",
-            merge=merge_single_partials,
-        )
-    if mode != "inproc":
-        raise ValueError(f"unknown partition_mode {mode!r}")
     t0 = time.perf_counter()
-    build = build_single_partitioned(spec, n_shards)
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        drive_partitioned(build)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    partials = [collect_partial(build, s) for s in range(n_shards)]
-    return merge_single_partials(spec, partials, time.perf_counter() - t0)
+    bench, instances = build_single(spec, spec.partitions)
+    run_without_gc(bench, instances)
+    return _finish_single(spec, bench, instances, time.perf_counter() - t0)
+
+
+def _finish_single(spec, bench, instances, wall_s):
+    """Metric aggregation + RunResult assembly from the finished bench."""
+    from ..exec.spec import RunResult, metric_samples
+
+    reports = [inst.report() for inst in instances]
+    samples_by_client = {r.name: metric_samples(r) for r in reports}
+    metrics = {
+        q: aggregate_quantile(samples_by_client, q, combine=spec.combine)
+        for q in spec.quantiles
+    }
+    return RunResult(
+        run_index=spec.run_index,
+        reports=reports,
+        metrics=metrics,
+        server_utilization=bench.server.measured_utilization(),
+        client_utilizations={
+            name: client.utilization() for name, client in bench.clients.items()
+        },
+        spec_digest=spec.digest(),
+        wall_s=wall_s,
+        events_processed=bench.events_processed,
+    )
 
 
 register_measurement_backend(

@@ -50,14 +50,16 @@ counterpart:
   the import fires the downlink — 3 events, like serial
   uplink→spine→downlink.
 
-Execution modes
----------------
+Execution
+---------
 
-:func:`run_windows` is the one window-barrier loop, written against a
-shard-handle interface.  In-process handles drive sub-kernels
-directly (the correctness reference); the multi-process mode
-(:mod:`repro.measure.partitionproc`) drives identical logic over the
-distributed executor's frame protocol.
+Benches build against a :class:`PartitionedSimulator` exactly as they
+build against one :class:`Simulator`, and their ``run_to_completion``
+hands over to :meth:`PartitionedSimulator.run_to_completion`, which
+drives every sub-kernel in this process through :func:`run_windows`.
+After the final clock sync the bench's live objects read exactly as
+after a serial run, so serial and sharded runs finish through the same
+result assembly.
 """
 
 from __future__ import annotations
@@ -73,12 +75,10 @@ __all__ = [
     "SubKernel",
     "assign_shards",
     "PartitionedSimulator",
-    "PartitionedBuild",
     "CoordinatorStats",
-    "LocalShardHandle",
+    "ShardHandle",
     "run_windows",
     "drive_partitioned",
-    "collect_partial",
 ]
 
 #: The ISSUE-facing alias: partition-protocol failures raise the
@@ -150,10 +150,9 @@ def assign_shards(
 class _ThroughChannel:
     """A flow whose endpoints share a sub-kernel: plain path.send."""
 
-    __slots__ = ("cid", "path", "deliver", "extra", "size_of")
+    __slots__ = ("path", "deliver", "extra", "size_of")
 
-    def __init__(self, cid, path, deliver, extra, size_of):
-        self.cid = cid
+    def __init__(self, path, deliver, extra, size_of):
         self.path = path
         self.deliver = deliver
         self.extra = extra
@@ -175,13 +174,9 @@ class _CutChannel:
         "deliver",
         "extra",
         "size_of",
-        "src_shard",
-        "dst_shard",
     )
 
-    def __init__(
-        self, cid, path, deliver, extra, size_of, src_kernel, src_shard, dst_shard
-    ):
+    def __init__(self, cid, path, deliver, extra, size_of, src_kernel):
         self.cid = cid
         self.uplink = path.uplink
         self.downlink = path.downlink
@@ -190,8 +185,6 @@ class _CutChannel:
         self.extra = extra
         self.size_of = size_of
         self.src_kernel = src_kernel
-        self.src_shard = src_shard
-        self.dst_shard = dst_shard
 
     def send(self, payload) -> None:
         if self.spine_port is None:
@@ -222,7 +215,7 @@ class PartitionedSimulator:
     against it exactly as they build against a single
     :class:`Simulator` — hosts land on their owning kernels via
     :meth:`sim_for_host`, flows become channels via :meth:`channel` —
-    and :func:`run_windows` advances all kernels in conservative
+    and :meth:`run_to_completion` advances all kernels in conservative
     windows.  ``n_shards=1`` degenerates to a windowed serial run and
     is part of the bit-identical test matrix.
     """
@@ -233,12 +226,16 @@ class PartitionedSimulator:
         self.n_shards = n_shards
         self.kernels = [SubKernel(i) for i in range(n_shards)]
         self.shard_map: Dict[str, int] = {}
-        self.channels: List[object] = []
         self._import_fns: Dict[int, Callable[[object], None]] = {}
-        #: ``cid -> (src_shard, dst_shard)`` — the coordinator's routing
-        #: table, also the cross-process wiring-divergence check.
+        #: ``cid -> (src_shard, dst_shard)`` — the window loop's routing
+        #: table.
         self.routes: Dict[int, Tuple[int, int]] = {}
         self.lookahead_us: Optional[float] = None
+        #: Set by :meth:`run_to_completion`: how many instance
+        #: completions end the run, and the background processes stopped
+        #: at ``T_done + L``.
+        self.n_instances = 0
+        self.antagonists: Sequence[object] = ()
 
     # -- construction --------------------------------------------------
     def assign(self, mapping: Dict[str, int]) -> None:
@@ -246,9 +243,6 @@ class PartitionedSimulator:
             if not 0 <= shard < self.n_shards:
                 raise ValueError(f"host {host!r} assigned to bad shard {shard}")
         self.shard_map.update(mapping)
-
-    def shard_of(self, host: str) -> int:
-        return self.shard_map[host]
 
     def sim_for_host(self, host: str) -> Simulator:
         """Topology hook: each host's links live on its owning kernel."""
@@ -278,42 +272,41 @@ class PartitionedSimulator:
         ``deliver(payload, *extra)`` fires on the destination host after
         its downlink, exactly like the serial continuation.  Channel ids
         are assigned in creation order, which is a pure function of the
-        spec — every process derives the identical wiring, and the
-        multi-process coordinator cross-checks that.
+        spec.
         """
-        cid = len(self.channels)
+        cid = len(self.routes)
         src_shard = self.shard_map[src]
         dst_shard = self.shard_map[dst]
         size_of = attrgetter(size_attr)
         if src_shard == dst_shard:
-            ch: object = _ThroughChannel(cid, path, deliver, extra, size_of)
+            ch: object = _ThroughChannel(path, deliver, extra, size_of)
         else:
             ch = _CutChannel(
-                cid,
-                path,
-                deliver,
-                extra,
-                size_of,
-                self.kernels[src_shard],
-                src_shard,
-                dst_shard,
+                cid, path, deliver, extra, size_of, self.kernels[src_shard]
             )
             self._import_fns[cid] = ch.deliver_import
-        self.channels.append(ch)
         self.routes[cid] = (src_shard, dst_shard)
         return ch.send
 
     def import_fn(self, cid: int) -> Callable[[object], None]:
         return self._import_fns[cid]
 
-    def completion_recorder(self, shard: int) -> Callable[[object], None]:
-        """An ``instance.on_done`` callback logging into ``shard``'s kernel."""
-        kernel = self.kernels[shard]
+    # -- execution -----------------------------------------------------
+    def run_to_completion(
+        self, instances, antagonists: Sequence[object], lookahead_us: float
+    ) -> "CoordinatorStats":
+        """Run until every instance is done, stop ``antagonists`` at
+        ``T_done + lookahead_us``, drain, and sync every kernel clock.
 
-        def _note(inst) -> None:
-            kernel.completions.append((kernel.now, inst.name))
-
-        return _note
+        The partitioned twin of the benches' serial
+        ``run_to_completion``; returns the window loop's stats.
+        """
+        self.set_lookahead(lookahead_us)
+        self.n_instances = len(instances)
+        self.antagonists = antagonists
+        for inst in instances:
+            inst.on_done = _log_completion
+        return drive_partitioned(self)
 
     # -- introspection -------------------------------------------------
     @property
@@ -325,27 +318,10 @@ class PartitionedSimulator:
             kernel.sync_now(now)
 
 
-@dataclass
-class PartitionedBuild:
-    """One sharded bench, fully wired and started, ready to drive.
-
-    Produced by a backend builder (``build_single_partitioned`` /
-    ``build_scenario_partitioned``) — in every process identically, so
-    the multi-process mode can rebuild the same simulation per worker
-    and execute only its own shard.
-    """
-
-    partition: PartitionedSimulator
-    #: The bench object (kept alive: it owns machines and topology).
-    bench: object
-    #: Measurement instances in global (spec) order.
-    instances: List[object]
-    #: ``(shard, AntagonistProcess)`` in global deterministic order.
-    antagonists: List[Tuple[int, object]]
-    instance_shards: Dict[str, int]
-    #: ``(shard, name, ServerMachine)`` for every server.
-    servers: List[Tuple[int, str, object]]
-    lookahead: float
+def _log_completion(inst) -> None:
+    """``instance.on_done``: log the completion in its client's kernel."""
+    kernel = inst.client.sim
+    kernel.completions.append((kernel.now, inst.name))
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +329,7 @@ class PartitionedBuild:
 # ----------------------------------------------------------------------
 @dataclass
 class CoordinatorStats:
-    """What one partitioned run did (bench + chaos evidence)."""
+    """What one partitioned run did (bench-harness evidence)."""
 
     windows: int = 0
     boundary_events: int = 0
@@ -363,42 +339,30 @@ class CoordinatorStats:
     t_done: Optional[float] = None
 
 
-class LocalShardHandle:
-    """Drives one in-process sub-kernel through the window protocol.
+class ShardHandle:
+    """Drives one sub-kernel through the window protocol."""
 
-    Also the worker-side engine of the multi-process mode: a remote
-    worker wraps one of these and replays coordinator frames into it.
-    """
-
-    def __init__(self, partition: PartitionedSimulator, shard: int, antagonists):
-        self._part = partition
+    def __init__(self, partition: PartitionedSimulator, shard: int):
+        self._import_fn = partition.import_fn
+        self._antagonists = partition.antagonists
         self.kernel = partition.kernels[shard]
-        self.shard = shard
-        self._antagonists = antagonists
-        self._next_time = 0.0
-        self._barrier = 0.0
 
-    # exchange: apply boundary imports + control events, report next time
-    def begin_exchange(self, wseq: int, imports, controls) -> None:
-        kernel = self.kernel
-        at = kernel.at
-        import_fn = self._part.import_fn
+    def exchange(self, imports, controls) -> float:
+        """Apply boundary imports and antagonist stops; return the
+        earliest pending event time."""
+        at = self.kernel.at
+        import_fn = self._import_fn
         for t, cid, payload in imports:
             at(t, import_fn(cid), payload)
         for t, idx in controls:
             at(t, self._antagonists[idx].stop)
-        self._next_time = kernel.next_time()
+        return self.kernel.next_time()
 
-    def end_exchange(self) -> float:
-        return self._next_time
-
-    # advance: run the window, harvest exports and completions
-    def begin_advance(self, wseq: int, barrier: float) -> None:
-        self._barrier = barrier
-
-    def end_advance(self):
+    def advance(self, barrier: float):
+        """Run strictly below ``barrier``; return ``(exports,
+        completions, executed, now)``."""
         kernel = self.kernel
-        executed = kernel.run_window(self._barrier)
+        executed = kernel.run_window(barrier)
         exports = kernel.outbox
         completions = kernel.completions
         if exports:
@@ -406,9 +370,6 @@ class LocalShardHandle:
         if completions:
             kernel.completions = []
         return exports, completions, executed, kernel.now
-
-    def finalize(self, global_now: float) -> None:
-        self.kernel.sync_now(global_now)
 
 
 def run_windows(
@@ -421,21 +382,19 @@ def run_windows(
 ) -> CoordinatorStats:
     """Advance all shards to quiescence through conservative windows.
 
-    One loop for both execution modes: per window, (1) every shard
-    applies the previous window's boundary imports (in ``(time, source
-    partition, sequence)`` order) plus any control events and reports
-    its earliest pending event; (2) the coordinator takes the global
-    minimum ``gmin`` and broadcasts the barrier ``gmin + L``; (3) every
-    shard runs strictly below the barrier and returns its exports and
+    Per window, (1) every shard applies the previous window's boundary
+    imports (in ``(time, source partition, sequence)`` order) plus any
+    control events and reports its earliest pending event; (2) the
+    barrier is the global minimum ``gmin`` plus ``L``; (3) every shard
+    runs strictly below the barrier and returns its exports and
     instance completions.  When the final instance completes at
     ``T_done``, one stop control per antagonist is issued at ``T_done +
     L`` — at or beyond the next barrier by construction, and the same
-    rule the serial bench applies inline, so both modes shut background
-    load down at the identical virtual instant.
+    rule the serial scenario bench applies inline, so both kernels shut
+    background load down at the identical virtual instant.
 
     Raises :class:`SimulationError` if the heaps drain before every
-    instance completed (wiring bug or lost boundary frame — the clean
-    arm of the chaos invariant).
+    instance completed (a wiring bug).
     """
     stats = CoordinatorStats()
     n_shards = len(handles)
@@ -445,25 +404,20 @@ def run_windows(
     pending_controls: List[List[Tuple[float, int]]] = [[] for _ in range(n_shards)]
     controls_issued = not antagonist_shards
     nows = [0.0] * n_shards
-    wseq = 0
     while True:
-        wseq += 1
-        for shard, handle in enumerate(handles):
-            handle.begin_exchange(
-                wseq, pending_imports[shard], pending_controls[shard]
-            )
-        next_times = [h.end_exchange() for h in handles]
+        next_times = [
+            handle.exchange(pending_imports[shard], pending_controls[shard])
+            for shard, handle in enumerate(handles)
+        ]
         pending_imports = [[] for _ in range(n_shards)]
         pending_controls = [[] for _ in range(n_shards)]
         gmin = min(next_times)
         if gmin == float("inf"):
             break
         barrier = gmin + lookahead_us
-        for handle in handles:
-            handle.begin_advance(wseq, barrier)
         exported: List[Tuple[float, int, int, int, object]] = []
         for shard, handle in enumerate(handles):
-            exports, completions, executed, now = handle.end_advance()
+            exports, completions, executed, now = handle.advance(barrier)
             stats.executed += executed
             nows[shard] = now
             for seq, (t, cid, payload) in enumerate(exports):
@@ -492,56 +446,20 @@ def run_windows(
     if stats.t_done is None:
         stats.t_done = max(t for t, _ in stats.completions)
     stats.global_now = max(nows)
-    for handle in handles:
-        handle.finalize(stats.global_now)
     return stats
 
 
-def drive_partitioned(build) -> CoordinatorStats:
-    """Drive one in-process partitioned build to quiescence.
-
-    ``build`` is a :class:`PartitionedBuild`-shaped object (see the
-    backend builders): a :class:`PartitionedSimulator`, the instances,
-    and the antagonist list.  Returns the coordinator stats; the
-    caller assembles results from the (clock-synced) local state.
-    """
-    part = build.partition
-    part.set_lookahead(build.lookahead)
-    handles = [
-        LocalShardHandle(part, shard, [a for _, a in build.antagonists])
-        for shard in range(part.n_shards)
-    ]
-    return run_windows(
-        handles,
-        lookahead_us=build.lookahead,
-        n_instances=len(build.instances),
-        antagonist_shards=[shard for shard, _ in build.antagonists],
-        routes=part.routes,
+def drive_partitioned(partition: PartitionedSimulator) -> CoordinatorStats:
+    """Drive a partition armed by
+    :meth:`PartitionedSimulator.run_to_completion` to quiescence, then
+    sync every kernel's clock to the last event, so the bench's live
+    objects read exactly as they would after a serial run."""
+    stats = run_windows(
+        [ShardHandle(partition, shard) for shard in range(partition.n_shards)],
+        lookahead_us=partition.lookahead_us,
+        n_instances=partition.n_instances,
+        antagonist_shards=[proc.sim.shard_id for proc in partition.antagonists],
+        routes=partition.routes,
     )
-
-
-def collect_partial(build, shard: int) -> Dict[str, object]:
-    """One shard's contribution to the merged result (post clock-sync).
-
-    The multi-process worker ships this dict to the coordinator; the
-    in-process mode collects the same dicts locally — one merge path,
-    both modes.
-    """
-    reports = {}
-    client_utils = {}
-    for inst in build.instances:
-        if build.instance_shards[inst.name] == shard:
-            reports[inst.name] = inst.report()
-            client_utils[inst.name] = inst.client.utilization()
-    server_utils = {
-        name: server.measured_utilization()
-        for srv_shard, name, server in build.servers
-        if srv_shard == shard
-    }
-    return {
-        "shard": shard,
-        "reports": reports,
-        "client_utils": client_utils,
-        "server_utils": server_utils,
-        "events": build.partition.kernels[shard].events_processed,
-    }
+    partition.sync_clocks(stats.global_now)
+    return stats

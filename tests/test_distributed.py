@@ -201,10 +201,10 @@ class TestTaskReference:
         assert proto.resolve_task(ref) is _double
 
     def test_run_spec_reference(self):
-        from repro.exec.spec import run_spec
+        from repro.measure.api import measure_spec
 
-        assert proto.resolve_task("repro.exec.spec:run_spec") is run_spec
-        assert proto.task_reference(run_spec) == "repro.exec.spec:run_spec"
+        assert proto.resolve_task("repro.measure.api:measure_spec") is measure_spec
+        assert proto.task_reference(measure_spec) == "repro.measure.api:measure_spec"
 
     def test_lambda_rejected(self):
         with pytest.raises(ValueError):

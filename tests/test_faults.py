@@ -96,18 +96,15 @@ class TestFaultPlan:
     def test_matrix_seeds_cover_every_injectable_kind(self):
         """The chaos matrix below exercises every distributed fault kind
         at least once (coordinator_restart is added by the recovery
-        test; live kinds live in FaultPlan.generate_live's palette and
-        partition_desync in run_partition_chaos's, so historical seeded
-        plans stay bit-identical)."""
+        test; live kinds live in FaultPlan.generate_live's palette, so
+        historical seeded plans stay bit-identical)."""
         from repro.faults.plan import LIVE_FAULT_KINDS
 
         kinds = set()
         for seed in CHAOS_SEEDS:
             kinds |= set(FaultPlan.generate(seed).kinds())
         assert kinds == (
-            set(FAULT_KINDS)
-            - {"coordinator_restart", "partition_desync"}
-            - set(LIVE_FAULT_KINDS)
+            set(FAULT_KINDS) - {"coordinator_restart"} - set(LIVE_FAULT_KINDS)
         )
 
     def test_generate_live_palette_and_determinism(self):

@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.exec.cache import ResultCache
 from repro.exec.executors import SerialExecutor, _cacheable
-from repro.exec.spec import RunSpec, run_spec
+from repro.exec.spec import RunSpec
 from repro.measure import api as mapi
 from repro.measure import (
     BenchCapabilities,
@@ -350,20 +350,29 @@ class TestFacade:
 
 
 class TestDeprecatedSpellings:
-    def test_run_spec_warns_and_delegates(self):
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning, match="repro.run"):
-            legacy = run_spec(spec)
-        fresh = measure_spec(spec)
-        assert legacy.metrics == fresh.metrics
+    """The pre-registry run aliases were removed in 2.0."""
 
-    def test_run_scenario_spec_warns(self):
-        from repro.scenarios.runtime import run_scenario_spec
+    @staticmethod
+    def _run_spec_aliases(module):
+        return [
+            name
+            for name in dir(module)
+            if name.startswith("run_") and name.endswith("spec")
+        ]
 
-        spec = small_spec()
-        with pytest.warns(DeprecationWarning):
-            legacy = run_scenario_spec(spec)
-        assert legacy.metrics == measure_spec(spec).metrics
+    def test_run_spec_alias_is_removed(self):
+        import repro.exec
+        import repro.exec.spec
+
+        for module in (repro, repro.exec, repro.exec.spec):
+            assert self._run_spec_aliases(module) == [], module.__name__
+
+    def test_run_scenario_spec_alias_is_removed(self):
+        import repro.scenarios
+        import repro.scenarios.runtime
+
+        for module in (repro.scenarios, repro.scenarios.runtime):
+            assert self._run_spec_aliases(module) == [], module.__name__
 
     def test_measure_spec_does_not_warn(self):
         with warnings.catch_warnings():
