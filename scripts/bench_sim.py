@@ -164,14 +164,11 @@ def run_partitioned_lane(args, partition_counts):
     """
     from repro.core.bench import run_without_gc  # noqa: E402
     from repro.exec.spec import result_fingerprint  # noqa: E402
-    from repro.measure.simbackend import (  # noqa: E402
-        _drive_single_server,
-        _finish_single,
-        build_single,
-    )
+    from repro.measure import measure_spec  # noqa: E402
+    from repro.measure.simbackend import _finish_single, build_single  # noqa: E402
 
     spec = bench_spec(args)
-    reference = result_fingerprint(_drive_single_server(spec))
+    reference = result_fingerprint(measure_spec(spec))
     lanes = []
     all_identical = True
     for n in partition_counts:

@@ -681,30 +681,10 @@ def _cmd_scenario_validate(refs: List[str]) -> int:
     return 1 if failures else 0
 
 
-def _result_fingerprint(result) -> str:
-    """Content hash of everything a run reports (identity checks)."""
-    import hashlib
-
-    import numpy as np
-
-    h = hashlib.sha256()
-    h.update(repr(sorted(result.metrics.items())).encode())
-    h.update(
-        repr(
-            sorted((g, sorted(m.items())) for g, m in result.group_metrics.items())
-        ).encode()
-    )
-    for report in result.reports:
-        h.update(np.ascontiguousarray(report.raw_samples, dtype=float).tobytes())
-        h.update(
-            np.ascontiguousarray(report.ground_truth_samples, dtype=float).tobytes()
-        )
-    return h.hexdigest()
-
-
 def _cmd_scenario_run(scenario, args: argparse.Namespace) -> int:
     from .exec.api import make_executor
     from .exec.executors import execute_specs
+    from .exec.spec import result_fingerprint
     from .scenarios import compile_scenario
 
     specs = compile_scenario(scenario)
@@ -733,7 +713,7 @@ def _cmd_scenario_run(scenario, args: argparse.Namespace) -> int:
         serial = execute_specs(specs, make_executor("serial"))
         process = execute_specs(specs, make_executor("process"))
         identical = all(
-            _result_fingerprint(a) == _result_fingerprint(b)
+            result_fingerprint(a) == result_fingerprint(b)
             for a, b in zip(serial, process)
         )
         results = serial

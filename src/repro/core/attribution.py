@@ -245,13 +245,6 @@ class AttributionStudy:
             run.raw_samples(), cfg.samples_per_experiment, cfg.seed, run_index
         )
 
-    def _experiment(self, coded: Tuple[int, ...], run_index: int) -> ExperimentSample:
-        """One independent experiment at one configuration."""
-        run = execute_specs([self.spec_for(coded, run_index)], self.executor)[0]
-        return ExperimentSample(
-            coded=tuple(coded), samples=self._subsample(run, run_index)
-        )
-
     def run_experiments(
         self, progress: Optional[ProgressHook] = None
     ) -> List[ExperimentSample]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..exec.executors import _ExecutorBase, default_executor
 from ..exec.progress import ProgressHook
-from ..exec.spec import RunResult, RunSpec, metric_samples
+from ..exec.spec import RunResult, RunSpec
 from ..measure.api import measure_spec
 from ..sim.machine import HardwareSpec
 from ..stats.convergence import MeanConvergence
@@ -235,8 +235,3 @@ class MeasurementProcedure:
             dispersion=dispersion,
             converged=rule.is_converged(),
         )
-
-
-def _histogram_samples(report) -> np.ndarray:
-    """Backwards-compatible alias of :func:`repro.exec.spec.metric_samples`."""
-    return metric_samples(report)

@@ -1237,9 +1237,6 @@ class LocalClusterExecutor(ClusterExecutor):
                 self._respawns_left -= 1
                 self._procs[i] = self._spawn_worker(f"local-respawn-{self._respawns_left}")
 
-    def alive_workers(self) -> int:
-        return sum(1 for proc in self._procs if proc.poll() is None)
-
     def close(self) -> None:
         super().close()  # closes sockets: workers see EOF and exit
         for proc in self._procs:

@@ -3,11 +3,14 @@
 The library's historical execution semantics behind the
 :class:`~repro.measure.api.MeasurementBackend` protocol: one spec ==
 one of the paper's independent runs == one fresh
-:class:`~repro.core.bench.TestBench` boot in virtual time.  Scenario
-specs route through the multi-pool scenario runtime.  A spec with
-``partitions`` set shards the same bench across that many sub-kernels
-(:mod:`repro.sim.partition`) and finishes through the same result
-assembly, bit-identical to the serial kernel.
+:class:`~repro.core.bench.TestBench` boot in virtual time.  Every spec
+takes one drive — build, run to completion, finish.  Plain specs build
+and finish here (:func:`build_single`, :func:`_finish_single`);
+scenario specs use the scenario runtime's pair
+(:mod:`repro.scenarios.runtime`), whose bench is a ``TestBench``
+subclass.  A spec with ``partitions`` set shards the same bench across
+that many sub-kernels (:mod:`repro.sim.partition`) and finishes
+through the same result assembly, bit-identical to the serial kernel.
 
 This backend is the determinism anchor of the library — equal spec ⇒
 bit-identical result in any process — which is why it alone declares
@@ -21,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from ..core.aggregation import aggregate_quantile
-from ..core.bench import BenchConfig, TestBench, run_without_gc
+from ..core.bench import BenchConfig, TestBench, partition_hosts, run_without_gc
 from ..core.treadmill import TreadmillConfig, TreadmillInstance
 from .api import BenchCapabilities, register_measurement_backend
 
@@ -48,12 +51,23 @@ class _SimRun:
         self.spec = spec
 
     def drive(self):
+        """Boot, load, measure, report: a pure function of the spec.
+
+        Same spec, same result, in any process and at any
+        ``spec.partitions`` (the serial-vs-parallel and
+        serial-vs-sharded determinism guarantees rest here).
+        """
         spec = self.spec
         if spec.scenario is not None:
-            from ..scenarios.runtime import _execute_scenario_spec
+            from ..scenarios import runtime
 
-            return _execute_scenario_spec(spec)
-        return _drive_single_server(spec)
+            build, finish = runtime.build_scenario, runtime._finish_scenario
+        else:
+            build, finish = build_single, _finish_single
+        t0 = time.perf_counter()
+        bench, instances = build(spec, spec.partitions)
+        run_without_gc(bench, instances)
+        return finish(spec, bench, instances, time.perf_counter() - t0)
 
 
 class SimBackend:
@@ -94,16 +108,9 @@ def build_single(spec, n_shards: "int | None" = None):
     config = BenchConfig(
         workload=spec.workload, hardware=spec.hardware, seed=spec.seed
     )
-    partition = None
-    if n_shards is not None:
-        from ..sim.partition import PartitionedSimulator, assign_shards
-
-        hosts = [(config.server_name, config.server_rack)]
-        hosts += [
-            (f"client{i}", config.server_rack) for i in range(spec.num_instances)
-        ]
-        partition = PartitionedSimulator(n_shards)
-        partition.assign(assign_shards(hosts, n_shards))
+    hosts = [(config.server_name, config.server_rack)]
+    hosts += [(f"client{i}", config.server_rack) for i in range(spec.num_instances)]
+    partition = partition_hosts(hosts, n_shards)
     bench = TestBench(config, run_index=spec.run_index, partition=partition)
     if spec.total_rate_rps is not None:
         total_rate = spec.total_rate_rps
@@ -124,19 +131,6 @@ def build_single(spec, n_shards: "int | None" = None):
     for inst in instances:
         inst.start()
     return bench, instances
-
-
-def _drive_single_server(spec):
-    """The single-server body: boot, load, measure, report.
-
-    Pure function of ``spec``: same spec, same result, in any process
-    and at any ``spec.partitions`` (the serial-vs-parallel and
-    serial-vs-sharded determinism guarantees rest here).
-    """
-    t0 = time.perf_counter()
-    bench, instances = build_single(spec, spec.partitions)
-    run_without_gc(bench, instances)
-    return _finish_single(spec, bench, instances, time.perf_counter() - t0)
 
 
 def _finish_single(spec, bench, instances, wall_s):

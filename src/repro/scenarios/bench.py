@@ -1,29 +1,30 @@
 """The multi-pool scenario bench: N client fleets x M server pools.
 
-:class:`ScenarioBench` is the scenario-shaped sibling of
-:class:`~repro.core.bench.TestBench`: one virtual-time simulator
-holding every pool's servers (each booted fresh with its own hidden
-placement state), the rack topology with cross-rack spine, optional
-colocated antagonists, and all fleet clients — with per-*connection*
-routing, because a fleet's connections round-robin across its pool's
-servers.
+:class:`ScenarioBench` is a :class:`~repro.core.bench.TestBench` that
+boots every pool's servers (each fresh, with its own hidden placement
+state) and the colocated antagonists instead of one server.  The
+per-run RNG, the rack topology with per-host spine streams, kernel
+selection, client wiring, cut-aware routing and the run loop are the
+inherited ones; what stays here is what only scenarios have: pools
+booted from their JSON, antagonists, the per-fleet view and
+:meth:`ScenarioBench.fleet_total_rate`.
 
 Treadmill instances are reused completely unchanged: they drive an
 abstract bench protocol (``sim`` / ``rng`` / ``config.workload`` /
 ``add_client`` / ``open_connections``), which :meth:`fleet_view`
 satisfies per fleet.  A view pins the fleet's rack and target pool and
-shares the parent's simulator, RNG registry, and global connection
-counter, so host wiring order — and therefore every RNG stream — is a
-pure function of the scenario.
+routes per *connection*, because a fleet's connections round-robin
+across its pool's servers.  It shares the parent's simulator, RNG
+registry and global connection counter, so host wiring order — and
+therefore every RNG stream — is a pure function of the scenario.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..core.bench import drive_until
+from ..core.bench import TestBench
 from ..core.config import hardware_from_json, workload_from_json
-from ..sim.engine import Simulator
 from ..sim.machine import (
     AntagonistConfig,
     AntagonistProcess,
@@ -32,10 +33,7 @@ from ..sim.machine import (
     HardwareSpec,
     ServerMachine,
 )
-from ..sim.network import LinkConfig, SpineConfig, Topology
-from ..sim.rng import RngRegistry
-from ..sim.tcpdump import PacketCapture
-from ..workloads.base import Request
+from ..sim.network import LinkConfig, SpineConfig
 from .config import link_from_json, spine_from_json
 from .schema import ClientFleetSpec, ScenarioSpec
 
@@ -62,7 +60,6 @@ class _FleetView:
         rack: str,
     ):
         self._parent = parent
-        self._fleet = fleet
         self._servers = servers
         self._rack = rack
         self._current_client: Optional[ClientMachine] = None
@@ -84,35 +81,14 @@ class _FleetView:
         capture: bool = True,
     ) -> ClientMachine:
         parent = self._parent
-        if name in parent.clients:
-            raise ValueError(f"duplicate client {name!r}")
         rack = rack if rack is not None else self._rack
-        parent.topology.add_host(name, rack, link_config=link_config)
-        cap = PacketCapture(name) if capture else None
+        client = parent._wire_client(name, rack, client_spec, link_config, capture)
         routes = parent._routes
 
-        if parent._partition is None:
+        def send_packet(request) -> None:
+            routes[request.conn_id](request)
 
-            def send_packet(request: Request) -> None:
-                fwd, receive, respond = routes[request.conn_id]
-                fwd.send(request.request_bytes, receive, request, respond)
-
-        else:
-            # Partitioned: each route entry is the connection's
-            # cut-aware forward channel (see open_connections).
-            def send_packet(request: Request) -> None:
-                routes[request.conn_id](request)
-
-        client = ClientMachine(
-            parent._sim_for(name),
-            client_spec or ClientSpec(),
-            name,
-            send_packet=send_packet,
-            capture=cap,
-        )
-        parent.clients[name] = client
-        if cap is not None:
-            parent.captures[name] = cap
+        client._send_packet = send_packet
         self._current_client = client
         return client
 
@@ -121,9 +97,8 @@ class _FleetView:
 
         Connection ids are global across the whole scenario (matching
         the TestBench counter semantics); each id is routed to one
-        server of the fleet's target pool at accept time and the
-        forward/reverse network paths are resolved once, here, not per
-        packet.
+        server of the fleet's target pool at accept time and its
+        route is built once, here, not per packet.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
@@ -132,74 +107,30 @@ class _FleetView:
         if client is None:
             raise RuntimeError("open_connections before add_client")
         ids = []
-        partition = parent._partition
         for _ in range(count):
-            conn_id = parent._conn_counter
-            parent._conn_counter += 1
             server = self._servers[self._rr % len(self._servers)]
             self._rr += 1
-            server.accept(conn_id)
-            fwd = parent.topology.path(client.name, server.name)
-            rev = parent.topology.path(server.name, client.name)
-            deliver = client.deliver
-
-            if partition is None:
-
-                def respond(request: Request, _rev=rev, _deliver=deliver) -> None:
-                    _rev.send(request.response_bytes, _deliver, request)
-
-                parent._routes[conn_id] = (fwd, server.receive, respond)
-            else:
-                # Same flows as the serial closures, cut-aware; the
-                # reverse path first (it is the forward continuation),
-                # so channel ids are a pure function of the scenario.
-                respond = partition.channel(
-                    rev, deliver, src=server.name, dst=client.name,
-                    size_attr="response_bytes",
-                )
-                parent._routes[conn_id] = partition.channel(
-                    fwd, server.receive, respond,
-                    src=client.name, dst=server.name,
-                    size_attr="request_bytes",
-                )
+            conn_id = parent._accept(server)
+            parent._routes[conn_id] = parent._route(client, server)
             ids.append(conn_id)
         return ids
 
 
-class ScenarioBench:
-    """One wired scenario run (pools + topology + antagonists)."""
+class ScenarioBench(TestBench):
+    """One wired scenario run (pools + topology + antagonists).
+
+    Clients join through :meth:`fleet_view`; the single-server
+    ``add_client`` / ``open_connections`` pair does not apply.
+    """
 
     def __init__(self, scenario: ScenarioSpec, run_index: int = 0, partition=None):
         self.scenario = scenario
-        self.run_index = run_index
-        #: Optional :class:`~repro.sim.partition.PartitionedSimulator`
-        #: (every scenario host pre-assigned to a shard).  When set,
-        #: machines and links land on their owning sub-kernels and
-        #: per-connection routes become cut-aware channels.
-        self._partition = partition
-        if partition is None:
-            self.sim = Simulator()
-        else:
-            # Nominal base kernel; every host resolves its own via
-            # sim_for_host below.
-            self.sim = partition.kernels[0]
-        # Same per-run seed derivation as TestBench: equal (seed,
-        # run_index) means the same random universe either way.
-        self.rng = RngRegistry(hash((scenario.seed, run_index)) & 0x7FFFFFFF)
-        spine_cfg = (
+        spine = (
             spine_from_json(dict(scenario.spine))
             if scenario.spine is not None
             else SpineConfig()
         )
-        # Per-source-host spine streams: the draw order is local to
-        # each host's uplink FIFO, so sharded execution replays the
-        # identical delays (see repro.sim.partition).
-        self.topology = Topology(
-            self.sim,
-            spine_config=spine_cfg,
-            spine_streams=lambda host: self.rng.stream(f"spine/{host}"),
-            sim_for_host=None if partition is None else partition.sim_for_host,
-        )
+        self._wire(scenario.seed, run_index, spine, partition)
         #: pool name -> that pool's booted servers, in index order.
         self.pools: Dict[str, List[ServerMachine]] = {}
         #: pool name -> the pool's (shared) workload model instance.
@@ -214,23 +145,15 @@ class ScenarioBench:
             link = (
                 link_from_json(dict(pool.link)) if pool.link is not None else None
             )
-            servers = []
-            for i in range(pool.count):
-                server_name = f"{pool.name}{i}"
-                self.topology.add_host(server_name, pool.rack, link_config=link)
-                server = ServerMachine(
-                    self._sim_for(server_name),
-                    hardware,
-                    workload,
-                    self.rng.child(server_name),
-                    name=server_name,
+            names = [f"{pool.name}{i}" for i in range(pool.count)]
+            self.pools[pool.name] = [
+                self._boot_server(
+                    name, pool.rack, link, hardware, workload, self.rng.child(name)
                 )
-                server.boot()
-                servers.append(server)
-            self.pools[pool.name] = servers
+                for name in names
+            ]
             self.pool_workloads[pool.name] = workload
-        #: Antagonist processes, in scenario order then server order.
-        self.antagonists: List[AntagonistProcess] = []
+        # Antagonist processes, in scenario order then server order.
         for spec in scenario.antagonists:
             servers = self.pools[spec.pool]
             targets = servers if spec.server is None else [servers[spec.server]]
@@ -250,29 +173,8 @@ class ScenarioBench:
                         name=f"{spec.name}@{server.name}",
                     )
                 )
-        self.clients: Dict[str, ClientMachine] = {}
-        self.captures: Dict[str, PacketCapture] = {}
-        self._conn_counter = 0
+        #: conn id -> that connection's ``send_packet`` route.
         self._routes: Dict[int, object] = {}
-        # Deterministic antagonist shutdown: when the final instance
-        # completes at T_done, every antagonist gets a stop event at
-        # T_done + lookahead.  Same rule the partitioned window loop
-        # applies at its barriers, so serial and sharded runs silence
-        # background load at the identical virtual instant.
-        self._expected: Optional[int] = None
-        self._completed = 0
-
-    def _sim_for(self, host: str) -> Simulator:
-        if self._partition is None:
-            return self.sim
-        return self._partition.sim_for_host(host)
-
-    def _note_done(self, inst) -> None:
-        self._completed += 1
-        if self._completed >= (self._expected or 0) and self.antagonists:
-            stop_at = self.sim.now + self.topology.lookahead_us()
-            for proc in self.antagonists:
-                proc.sim.at(stop_at, proc.stop)
 
     def fleet_view(self, fleet_name: str) -> _FleetView:
         """The bench adapter a fleet's Treadmill instances drive."""
@@ -296,43 +198,3 @@ class ScenarioBench:
     def start_antagonists(self) -> None:
         for proc in self.antagonists:
             proc.start()
-
-    def stop_antagonists(self) -> None:
-        for proc in self.antagonists:
-            proc.stop()
-
-    def run_until(self, predicate: Callable[[], bool], check_every: int = 256) -> None:
-        drive_until(self.sim, predicate, check_every)
-
-    def run_to_completion(self, instances):
-        """Run until every instance is done, then drain in-flight work.
-
-        Instances stop their own controllers at the final counted
-        sample; completion callbacks wired here schedule one stop
-        event per antagonist at ``T_done + lookahead`` (they reschedule
-        themselves forever, so draining without a stop would never
-        terminate).  Both the completion instant and the stop instant
-        are properties of the event stream, never of the drive loop's
-        polling cadence — the partitioned window loop reproduces them
-        exactly, and a partitioned bench returns its
-        :class:`~repro.sim.partition.CoordinatorStats`.
-        """
-        if self._partition is not None:
-            return self._partition.run_to_completion(
-                instances, self.antagonists, self.topology.lookahead_us()
-            )
-        pending = list(instances)
-        self._expected = len(pending)
-        self._completed = 0
-        for inst in pending:
-            inst.on_done = self._note_done
-        self.run_until(lambda: all(inst.done for inst in pending))
-        for inst in pending:
-            inst.stop()
-        self.sim.run()
-        return None
-
-    @property
-    def events_processed(self) -> int:
-        """Events executed so far, over every sub-kernel if partitioned."""
-        return (self._partition or self.sim).events_processed

@@ -1,12 +1,13 @@
-"""Execute one scenario-carrying RunSpec.
+"""Build and finish one scenario-carrying RunSpec.
 
-:func:`_execute_scenario_spec` is the scenario counterpart of the
-simulator backend's single-server body
-(:mod:`repro.measure.simbackend`): boot every pool, stand up every
-fleet's Treadmill instances, start antagonists, drive the shared
-simulator to completion, and report — overall metrics via the paper's
+The scenario half of the simulator backend's one drive
+(:class:`repro.measure.simbackend._SimRun`): :func:`build_scenario`
+boots every pool, stands up every fleet's Treadmill instances and
+starts the antagonists; the shared run loop
+(:meth:`~repro.core.bench.TestBench.run_to_completion`) drives them;
+:func:`_finish_scenario` reports — overall metrics via the paper's
 per-instance-then-combine rule plus per-(fleet, pool)
-``group_metrics``.  It is a pure function of the spec, so the
+``group_metrics``.  Both are pure functions of the spec, so the
 serial-vs-parallel bit-identity guarantee of the execution layer
 extends to scenarios unchanged.  The ``fleet=``/``pool=`` labels each
 instance report carries double as the guard layer's grouping key: the
@@ -15,19 +16,17 @@ per-client sample shares both pooled and per ``(fleet, pool)`` scope,
 and the per-instance guard tape (``phase_windows``/``warmup_tail``)
 recorded by the shared :class:`~repro.core.treadmill.PhaseRecorder`
 gives the drift detectors the same evidence here as on plain specs.
-The simulator measurement backend calls it for every scenario-carrying
-spec; ``spec.partitions`` shards the same bench across sub-kernels
+``spec.partitions`` shards the same bench across sub-kernels
 (:mod:`repro.sim.partition`) and finishes through the same assembly.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 from ..core.aggregation import aggregate_quantile, grouped_quantiles
 from ..core.arrival import arrival_from_spec
-from ..core.bench import run_without_gc
+from ..core.bench import partition_hosts
 from ..core.treadmill import TreadmillConfig, TreadmillInstance
 from .bench import ScenarioBench
 from .schema import ScenarioSpec
@@ -96,28 +95,13 @@ def build_scenario(spec, n_shards: "int | None" = None):
     Pure function of its arguments.
     """
     scenario: ScenarioSpec = spec.scenario
-    partition = None
-    if n_shards is not None:
-        from ..sim.partition import PartitionedSimulator, assign_shards
-
-        partition = PartitionedSimulator(n_shards)
-        partition.assign(assign_shards(scenario_hosts(scenario), n_shards))
+    partition = partition_hosts(scenario_hosts(scenario), n_shards)
     bench = ScenarioBench(scenario, run_index=spec.run_index, partition=partition)
     instances = _build_instances(spec, bench)
     bench.start_antagonists()
     for inst in instances:
         inst.start()
     return bench, instances
-
-
-def _execute_scenario_spec(spec) -> "RunResult":
-    """Execute one scenario experiment described by ``spec.scenario``."""
-    if spec.scenario is None:
-        raise ValueError("scenario execution needs a spec with spec.scenario set")
-    t0 = time.perf_counter()
-    bench, instances = build_scenario(spec, spec.partitions)
-    run_without_gc(bench, instances)
-    return _finish_scenario(spec, bench, instances, time.perf_counter() - t0)
 
 
 def _finish_scenario(spec, bench, instances, wall_s) -> "RunResult":

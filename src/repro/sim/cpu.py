@@ -155,9 +155,6 @@ class Socket:
         self.headroom = 1.0
         self._headroom_time = 0.0
 
-    def account_busy(self, duration_us: float) -> None:
-        self.busy_us_acc += duration_us
-
     def utilization(self, now: float) -> float:
         """Smoothed utilization over recent history, sampled lazily."""
         dt = now - self._util_sample_time

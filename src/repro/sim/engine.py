@@ -295,8 +295,8 @@ class Simulator:
         """Run until the event heap drains (or ``max_events`` executed).
 
         Returns the number of events executed by this call, which lets
-        slice-driving callers (e.g. ``TestBench.run_until``) detect a
-        drained heap without a separate ``peek``.
+        slice-driving callers (e.g. :func:`repro.core.bench.drive_until`)
+        detect a drained heap without a separate ``peek``.
         """
         self._stopped = False
         heap = self._heap

@@ -354,12 +354,6 @@ class Topology:
         """All rack names, in insertion order (deterministic)."""
         return list(self._racks)
 
-    def hosts_in_rack(self, rack: str) -> List[str]:
-        """Host names placed in ``rack`` (scenario placement queries)."""
-        if rack not in self._racks:
-            raise KeyError(f"unknown rack {rack!r}")
-        return list(self._racks[rack].hosts)
-
     def uplink(self, host: str) -> Link:
         return self._uplinks[host]
 

@@ -298,7 +298,7 @@ class PartitionedSimulator:
         """Run until every instance is done, stop ``antagonists`` at
         ``T_done + lookahead_us``, drain, and sync every kernel clock.
 
-        The partitioned twin of the benches' serial
+        The partitioned twin of the bench's serial
         ``run_to_completion``; returns the window loop's stats.
         """
         self.set_lookahead(lookahead_us)
@@ -390,7 +390,7 @@ def run_windows(
     instance completions.  When the final instance completes at
     ``T_done``, one stop control per antagonist is issued at ``T_done +
     L`` — at or beyond the next barrier by construction, and the same
-    rule the serial scenario bench applies inline, so both kernels shut
+    rule the serial bench applies inline, so both kernels shut
     background load down at the identical virtual instant.
 
     Raises :class:`SimulationError` if the heaps drain before every

@@ -79,10 +79,6 @@ class FactorialDesign:
     def names(self) -> List[str]:
         return [f.name for f in self.factors]
 
-    @property
-    def num_configs(self) -> int:
-        return 2 ** len(self.factors)
-
     def configs(self) -> List[Tuple[int, ...]]:
         """All 2^k coded configurations, lexicographic in factor order."""
         return list(itertools.product((0, 1), repeat=len(self.factors)))

@@ -259,15 +259,20 @@ class TestGoldenDigest:
 
     @staticmethod
     def result_digest(result) -> str:
-        blob = json.dumps(
-            {
-                "metrics": {repr(q): repr(v) for q, v in result.metrics.items()},
-                "events": result.events_processed,
-                "server_utilization": repr(result.server_utilization),
-                "raw": [repr(x) for x in result.raw_samples().tolist()],
-            },
-            sort_keys=True,
-        )
+        fields = {
+            "metrics": {repr(q): repr(v) for q, v in result.metrics.items()},
+            "events": result.events_processed,
+            "server_utilization": repr(result.server_utilization),
+            "raw": [repr(x) for x in result.raw_samples().tolist()],
+        }
+        # Scenario results also carry per-(fleet, pool) metrics; plain
+        # results have none, so the single-server digest is unchanged.
+        if result.group_metrics:
+            fields["group_metrics"] = {
+                f"{fleet}/{pool}": {repr(q): repr(v) for q, v in by_q.items()}
+                for (fleet, pool), by_q in result.group_metrics.items()
+            }
+        blob = json.dumps(fields, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     #: Frozen *spec* digest (the cache/dedup key).  Digest-neutral
@@ -308,3 +313,56 @@ class TestGoldenDigest:
 
         (lowered,) = compile_scenario(scenario_from_json(self.GOLDEN_SCENARIO))
         assert self.result_digest(measure_spec(lowered)) == self.GOLDEN
+
+    #: The multi-pool twin: 2 pools on 2 racks, 2 fleets (one across
+    #: the spine) and a colocated antagonist.  It pins the scenario
+    #: runtime's result absolutely, not only against its own sharded
+    #: runs.
+    GOLDEN_MULTI_POOL = "8976c70ef67b23c7"
+
+    MULTI_POOL_SCENARIO = {
+        "name": "multi_pool",
+        "seed": 5,
+        "keep_raw": True,
+        "spine": {"propagation_us": 12.0},
+        "pools": [
+            {
+                "name": "cache",
+                "workload": {"workload": "memcached"},
+                "count": 2,
+                "rack": "rack0",
+            },
+            {"name": "db", "workload": {"workload": "memcached"}, "rack": "rack1"},
+        ],
+        "fleets": [
+            {
+                "name": "front",
+                "target": "cache",
+                "instances": 2,
+                "connections_per_instance": 3,
+                "target_utilization": 0.4,
+                "warmup_samples": 50,
+                "measurement_samples_per_instance": 200,
+            },
+            {
+                "name": "batch",
+                "target": "db",
+                "rack": "rack0",
+                "instances": 1,
+                "connections_per_instance": 2,
+                "target_utilization": 0.3,
+                "warmup_samples": 50,
+                "measurement_samples_per_instance": 200,
+            },
+        ],
+        "antagonists": [
+            {"name": "noisy", "pool": "cache", "socket": 0, "rate_rps": 2000.0, "work_us": 40.0}
+        ],
+    }
+
+    def test_multi_pool_scenario_digest_is_frozen(self):
+        from repro.scenarios import compile_scenario, scenario_from_json
+
+        (spec,) = compile_scenario(scenario_from_json(self.MULTI_POOL_SCENARIO))
+        assert spec.scenario is not None
+        assert self.result_digest(measure_spec(spec)) == self.GOLDEN_MULTI_POOL

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bench import BenchConfig, TestBench
+from repro.core.bench import BenchConfig, TestBench, drive_until
 from repro.workloads.memcached import MemcachedWorkload
 
 
@@ -97,15 +97,15 @@ class TestRunControl:
         bench = make_bench()
         bench.sim.schedule(10.0, lambda: None)
         bench.sim.schedule(20.0, lambda: None)
-        bench.run_until(lambda: bench.sim.now >= 10.0, check_every=1)
+        drive_until(bench.sim, lambda: bench.sim.now >= 10.0, check_every=1)
         assert bench.sim.now >= 10.0
 
     def test_run_until_raises_on_drained_heap(self):
         bench = make_bench()
         with pytest.raises(RuntimeError):
-            bench.run_until(lambda: False)
+            drive_until(bench.sim, lambda: False)
 
     def test_run_until_bad_check_every(self):
         bench = make_bench()
         with pytest.raises(ValueError):
-            bench.run_until(lambda: True, check_every=0)
+            drive_until(bench.sim, lambda: True, check_every=0)

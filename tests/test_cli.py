@@ -56,3 +56,62 @@ class TestOutFile:
         text = out.read_text()
         assert "Treadmill" in text
         assert "Table I" in text
+
+
+class TestScenarioVerifyIdentical:
+    """``scenario run --verify-identical`` compares whole results."""
+
+    SCENARIO = {
+        "name": "tiny",
+        "seed": 3,
+        "pools": [{"name": "pool", "workload": {"workload": "memcached"}, "count": 2}],
+        "fleets": [
+            {
+                "name": "fl",
+                "target": "pool",
+                "instances": 1,
+                "connections_per_instance": 2,
+                "target_utilization": 0.3,
+                "warmup_samples": 10,
+                "measurement_samples_per_instance": 40,
+            }
+        ],
+    }
+
+    def run(self, monkeypatch, tmp_path, skew_events):
+        """Run the check with both lanes served in-process; the
+        "process" lane's results get ``events_processed`` shifted by
+        ``skew_events`` and nothing else."""
+        import dataclasses
+        import json
+
+        import repro.exec.api as exec_api
+        import repro.exec.executors as executors
+
+        real_execute = executors.execute_specs
+        serial = exec_api.make_executor("serial")
+
+        def execute_specs(specs, executor=None, progress=None):
+            results = real_execute(specs, serial)
+            if executor == "process":
+                results = [
+                    dataclasses.replace(
+                        r, events_processed=r.events_processed + skew_events
+                    )
+                    for r in results
+                ]
+            return results
+
+        monkeypatch.setattr(exec_api, "make_executor", lambda name, **kw: name)
+        monkeypatch.setattr(executors, "execute_specs", execute_specs)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        return main(["scenario", "run", str(path), "--verify-identical"])
+
+    def test_identical_lanes_pass(self, monkeypatch, tmp_path, capsys):
+        assert self.run(monkeypatch, tmp_path, skew_events=0) == 0
+        assert "outputs_identical: True" in capsys.readouterr().out
+
+    def test_event_count_mismatch_fails(self, monkeypatch, tmp_path, capsys):
+        assert self.run(monkeypatch, tmp_path, skew_events=1) == 1
+        assert "outputs_identical: False" in capsys.readouterr().out

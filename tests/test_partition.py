@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exec.spec import RunSpec, result_fingerprint
-from repro.measure.simbackend import _drive_single_server
+from repro.measure import measure_spec
 from repro.scenarios import (
     list_scenarios,
     load_scenario,
@@ -22,7 +22,6 @@ from repro.scenarios import (
     scenario_to_jsonable,
 )
 from repro.scenarios.compiler import auto_partitions
-from repro.scenarios.runtime import _execute_scenario_spec
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.partition import (
     PartitionedSimulator,
@@ -152,11 +151,11 @@ class TestLookaheadGuard:
 class TestSingleServerIdentity:
     @pytest.fixture(scope="class")
     def reference(self):
-        return result_fingerprint(_drive_single_server(bench_shaped_spec()))
+        return result_fingerprint(measure_spec(bench_shaped_spec()))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_inproc_matches_serial(self, reference, n):
-        result = _drive_single_server(bench_shaped_spec().replace(partitions=n))
+        result = measure_spec(bench_shaped_spec().replace(partitions=n))
         assert result_fingerprint(result) == reference
 
     def test_partitions_field_is_digest_neutral(self):
@@ -169,7 +168,7 @@ class TestSingleServerIdentity:
         spec = bench_shaped_spec().replace(partitions=2)
         routed = _SimRun(spec).drive()
         assert result_fingerprint(routed) == result_fingerprint(
-            _drive_single_server(bench_shaped_spec())
+            measure_spec(bench_shaped_spec())
         )
 
 
@@ -182,9 +181,9 @@ class TestLibraryScenarioIdentity:
     def test_inproc_matches_serial(self, name, n):
         scenario = downscale(load_scenario(name))
         serial = result_fingerprint(
-            _execute_scenario_spec(scenario_spec(scenario))
+            measure_spec(scenario_spec(scenario))
         )
-        sharded = _execute_scenario_spec(
+        sharded = measure_spec(
             scenario_spec(scenario, partitions=n)
         )
         assert result_fingerprint(sharded) == serial
@@ -271,9 +270,9 @@ class TestPartitionPropertySweep:
         pools, fleets = TOPOLOGIES[topology]
         scenario = make_scenario(pools, fleets, seed)
         serial = result_fingerprint(
-            _execute_scenario_spec(scenario_spec(scenario))
+            measure_spec(scenario_spec(scenario))
         )
-        sharded = _execute_scenario_spec(
+        sharded = measure_spec(
             scenario_spec(scenario, partitions=n)
         )
         assert result_fingerprint(sharded) == serial

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.bench import BenchConfig, TestBench
+from repro.core.bench import BenchConfig, TestBench, drive_until
 from repro.core.treadmill import TreadmillConfig, TreadmillInstance
 from repro.sim.machine import HardwareSpec
 from repro.sim.nic import AFFINITY_ALL_NODES, AFFINITY_SAME_NODE, NicConfig
@@ -34,7 +34,7 @@ def loaded_bench(affinity=AFFINITY_SAME_NODE, seed=3, utilization=0.6, samples=2
     inst.start()
     # Telemetry reschedules itself forever; stop it before the final
     # drain or the event heap never empties.
-    bench.run_until(lambda: inst.done)
+    drive_until(bench.sim, lambda: inst.done)
     inst.stop()
     telemetry.stop()
     bench.sim.run()
