@@ -806,29 +806,16 @@ def _scenario_run_live(scenario, specs, args: argparse.Namespace, start: float) 
     return 0
 
 
-def _load_fault_plan(text: Optional[str]):
-    """Parse ``--fault-plan`` (JSON text or a path) into a FaultPlan.
-
-    Imported lazily so production CLI invocations never touch
-    ``repro.faults``.
-    """
-    if not text:
-        return None
-    import os
-
-    from .faults.plan import FaultPlan  # local import: chaos only
-
-    if os.path.exists(text):
-        with open(text, encoding="utf-8") as fh:
-            text = fh.read()
-    return FaultPlan.from_json(text)
-
-
 def _execution_scope(args: argparse.Namespace):
     """The scoped execution defaults implied by the CLI flags."""
     backend = getattr(args, "executor", None)
     if backend is not None:
         backend_info(backend)  # fail fast on unknown names
+    fault_plan = getattr(args, "fault_plan", None)
+    if fault_plan:
+        from .faults.plan import FaultPlan  # local import: chaos only
+
+        fault_plan = FaultPlan.load(fault_plan)
     return execution(
         jobs=args.jobs,
         cache_dir=_effective_cache_dir(args),
@@ -836,7 +823,7 @@ def _execution_scope(args: argparse.Namespace):
         workers=getattr(args, "workers", None),
         retries=getattr(args, "retries", None),
         min_healthy_workers=getattr(args, "min_healthy_workers", None),
-        fault_plan=_load_fault_plan(getattr(args, "fault_plan", None)),
+        fault_plan=fault_plan,
     )
 
 

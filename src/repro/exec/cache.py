@@ -45,6 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .spec import SPEC_SCHEMA, RunResult, RunSpec
+from .supervise import fire_hook
 
 __all__ = ["CACHE_SCHEMA", "QUARANTINE_DIR", "cache_version", "ResultCache"]
 
@@ -165,10 +166,6 @@ class ResultCache:
     def __contains__(self, spec: RunSpec) -> bool:
         return (self._entry_dir(spec.digest()) / "meta.json").exists()
 
-    def _fire(self, site: str) -> Optional[object]:
-        fire = getattr(self.injector, "fire", None)
-        return fire(site) if fire is not None else None
-
     # ------------------------------------------------------------------
     def _quarantine(self, entry: Path, reason: str) -> None:
         """Move a corrupt entry aside (idempotent, best-effort)."""
@@ -287,7 +284,7 @@ class ResultCache:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
         self.stores += 1
-        action = self._fire("cache.put")
+        action = fire_hook(self.injector, "cache.put")
         if action is not None and getattr(action, "kind", "") == "corrupt_cache_entry":
             self._corrupt_entry(entry)
         return entry

@@ -65,7 +65,6 @@ import random
 import re
 import socket
 import subprocess
-import sys
 import threading
 import time
 from collections import deque
@@ -80,12 +79,13 @@ from .journal import RunJournal
 from .progress import ProgressHook, RunEvent
 from .protocol import (
     ProtocolError,
-    handshake_reply,
+    accept_hello,
     recv_msg,
     resolve_task,
     send_msg,
     task_reference,
 )
+from .supervise import fire_hook, spawn_child, stop_children
 from ..measure.api import measure_spec
 from .spec import spec_digest
 
@@ -165,14 +165,6 @@ def classify_error(error_type: str, error_repr: str = "") -> bool:
         if match:
             name = match.group(1)
     return name in TRANSIENT_ERROR_TYPES
-
-
-def _fire(injector: Optional[object], site: str) -> Optional[object]:
-    """Consult a fault injector at a hook point (no-op without one)."""
-    if injector is None:
-        return None
-    fire = getattr(injector, "fire", None)
-    return fire(site) if fire is not None else None
 
 
 # ----------------------------------------------------------------------
@@ -650,7 +642,7 @@ class Coordinator:
         the lease machinery requeues any in-flight work) — the same
         observable behaviour as a link dying mid-frame.
         """
-        action = _fire(self.injector, "coordinator.send")
+        action = fire_hook(self.injector, "coordinator.send")
         kind = getattr(action, "kind", None)
         if kind in ("drop_frame", "truncate_frame"):
             self._note("fault", f"injected {kind} on coordinator send")
@@ -663,12 +655,8 @@ class Coordinator:
 
     def _serve_conn(self, conn: socket.socket, conn_id: int) -> None:
         try:
-            msg = recv_msg(conn)
+            msg = accept_hello(conn)
             if msg is None:
-                return
-            reply = handshake_reply(msg)
-            send_msg(conn, reply)
-            if reply["type"] != "welcome":
                 return
             with self._lock:
                 self._worker_names[conn_id] = str(msg.get("worker", f"conn{conn_id}"))
@@ -676,7 +664,7 @@ class Coordinator:
                 msg = recv_msg(conn)
                 if msg is None:
                     return
-                action = _fire(self.injector, "coordinator.recv")
+                action = fire_hook(self.injector, "coordinator.recv")
                 if getattr(action, "kind", None) in ("drop_frame", "truncate_frame"):
                     self._note(
                         "fault",
@@ -1109,7 +1097,7 @@ class ClusterExecutor(_ExecutorBase):
         below_floor_since: Optional[float] = None
         try:
             while pending:
-                action = _fire(self._injector, "coordinator.loop")
+                action = fire_hook(self._injector, "coordinator.loop")
                 if getattr(action, "kind", None) == "coordinator_restart":
                     raise SimulatedCrash(
                         "injected coordinator_restart: run journal and "
@@ -1209,23 +1197,12 @@ class LocalClusterExecutor(ClusterExecutor):
     # -- worker management ---------------------------------------------
     def _spawn_worker(self, name: str) -> subprocess.Popen:
         host, port = self.address
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        argv = [
-            sys.executable,
-            "-m",
-            "repro.exec.worker",
-            "--connect",
-            f"{host}:{port}",
-            "--name",
-            name,
-        ]
-        plan = self.options.fault_plan
-        plan = getattr(plan, "plan", plan)  # accept FaultInjector too
-        to_json = getattr(plan, "to_json", None)
+        args = ["--connect", f"{host}:{port}", "--name", name]
+        # FaultPlan and FaultInjector both serialize with to_json().
+        to_json = getattr(self.options.fault_plan, "to_json", None)
         if callable(to_json):
-            argv += ["--fault-plan", to_json()]
-        return subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+            args += ["--fault-plan", to_json()]
+        return spawn_child("repro.exec.worker", args)
 
     def _on_started(self) -> None:
         for i in range(self.options.workers):
@@ -1239,20 +1216,7 @@ class LocalClusterExecutor(ClusterExecutor):
 
     def close(self) -> None:
         super().close()  # closes sockets: workers see EOF and exit
-        for proc in self._procs:
-            if proc.poll() is None:
-                try:
-                    proc.terminate()
-                except OSError:
-                    pass
-        deadline = time.monotonic() + 5.0
-        for proc in self._procs:
-            remaining = max(0.0, deadline - time.monotonic())
-            try:
-                proc.wait(timeout=remaining)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        stop_children(self._procs, grace_s=5.0)
         self._procs = []
 
 

@@ -15,7 +15,7 @@ direction   type               meaning
 ==========  =================  ============================================
 w → c       ``hello``          handshake: protocol/library/schema versions
 c → w       ``welcome``        versions compatible, start pulling
-c → w       ``reject``         incompatible versions / bad message
+c → w       ``reject``         bad versions / bad token / bad message
 w → c       ``get``            give me work
 c → w       ``task``           lease: ``task_id``, ``digest``, ``spec``,
                                ``task_ref`` (``module:qualname``),
@@ -63,6 +63,8 @@ __all__ = [
     "recv_msg",
     "hello",
     "handshake_reply",
+    "connect_back",
+    "accept_hello",
     "task_reference",
     "resolve_task",
 ]
@@ -262,3 +264,43 @@ def handshake_reply(msg: Dict[str, object]) -> Dict[str, object]:
         "library": _library_version(),
         "spec_schema": SPEC_SCHEMA,
     }
+
+
+def connect_back(
+    host: str, port: int, worker: str, timeout: float, **fields: object
+) -> socket.socket:
+    """Connect and send :func:`hello` plus ``fields`` (``token``, ``slot``).
+
+    Every step waits at most ``timeout`` s, so a peer that accepts TCP
+    but never answers raises instead of hanging.  Returns the socket,
+    still under ``timeout``; raises :class:`ProtocolError` with the
+    peer's reason unless welcomed.
+    """
+    sock = socket.create_connection((host, port), timeout=timeout)
+    try:
+        send_msg(sock, {**hello(worker), **fields})
+        reply = recv_msg(sock)
+        if reply is None or reply.get("type") != "welcome":
+            reason = (reply or {}).get("reason", "connection closed during handshake")
+            raise ProtocolError(f"handshake rejected: {reason}")
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+def accept_hello(conn: socket.socket, token: Optional[str] = None) -> Optional[Dict]:
+    """Read a greeting and answer it; the greeting iff the peer is welcomed.
+
+    A ``token`` mismatch is answered ``reject "bad token"``, anything
+    else with :func:`handshake_reply`.  None on EOF or reject.
+    """
+    greeting = recv_msg(conn)
+    if greeting is None:
+        return None
+    if token is not None and greeting.get("token") != token:
+        reply: Dict[str, object] = {"type": "reject", "reason": "bad token"}
+    else:
+        reply = handshake_reply(greeting)
+    send_msg(conn, reply)
+    return greeting if reply["type"] == "welcome" else None

@@ -14,7 +14,8 @@ expires — or the connection drop is noticed sooner — and the task is
 requeued elsewhere).  Task code is resolved by *reference*
 (``module:qualname``, default ``repro.measure.api:measure_spec``)
 rather than shipped as pickled code, so worker and coordinator must
-run the same library version — which the handshake enforces.
+run the same library version — which the handshake enforces (it is
+:func:`~repro.exec.protocol.connect_back`, shared with fleet clients).
 
 Defence in depth: before running a spec the worker recomputes its
 content digest and refuses the task on mismatch (a corrupt frame or a
@@ -38,7 +39,7 @@ Start one by hand against a remote coordinator::
     python -m repro.exec.worker --connect 10.0.0.5:7781 --max-tasks 100
 
 or let :class:`~repro.exec.distributed.LocalClusterExecutor` spawn
-local ones for you.
+local ones for you (:func:`~repro.exec.supervise.spawn_child`).
 """
 
 from __future__ import annotations
@@ -53,12 +54,13 @@ from typing import Callable, List, Optional
 
 from .protocol import (
     ProtocolError,
-    hello,
+    connect_back,
     recv_msg,
     resolve_task,
     send_msg,
     task_reference,  # noqa: F401 - historical import location
 )
+from .supervise import fire_hook
 
 __all__ = ["serve", "main"]
 
@@ -78,13 +80,6 @@ def _verify_spec_digest(spec: object, expected: str) -> None:
         )
 
 
-def _fire(injector: Optional[object], site: str) -> Optional[object]:
-    if injector is None:
-        return None
-    fire = getattr(injector, "fire", None)
-    return fire(site) if fire is not None else None
-
-
 # ----------------------------------------------------------------------
 # the serve loop
 # ----------------------------------------------------------------------
@@ -102,18 +97,15 @@ def serve(
     Returns the number of tasks completed (useful for tests and for
     ``--max-tasks`` batch workers).  ``injector`` is the deterministic
     fault-injection hook (``repro.faults.FaultInjector``); None in
-    production.
+    production.  ``connect_timeout`` bounds the connect and the
+    handshake: a coordinator that accepts TCP but never replies raises
+    instead of hanging.
     """
     worker_name = name or f"{socket.gethostname()}:{os.getpid()}"
-    sock = socket.create_connection((host, port), timeout=connect_timeout)
+    sock = connect_back(host, port, worker_name, connect_timeout)
     sock.settimeout(None)
     completed = 0
     try:
-        send_msg(sock, hello(worker_name))
-        reply = recv_msg(sock)
-        if reply is None or reply.get("type") != "welcome":
-            reason = (reply or {}).get("reason", "connection closed during handshake")
-            raise ProtocolError(f"coordinator rejected worker: {reason}")
         task_cache: dict = {}
         while max_tasks is None or completed < max_tasks:
             try:
@@ -140,7 +132,7 @@ def serve(
             digest = str(msg.get("digest", ""))
 
             # ---- hook: worker.task (crash / hang / slow) -------------
-            action = _fire(injector, "worker.task")
+            action = fire_hook(injector, "worker.task")
             kind = getattr(action, "kind", None)
             if kind == "worker_crash":
                 log(f"[repro-worker {worker_name}] injected worker_crash")
@@ -177,13 +169,13 @@ def serve(
                 continue
 
             # ---- hook: worker.result (poison the digest echo) --------
-            action = _fire(injector, "worker.result")
+            action = fire_hook(injector, "worker.result")
             if getattr(action, "kind", None) == "corrupt_result":
                 digest = "0" * 64  # coordinator must reject + requeue
 
             # ---- hook: worker.send (drop / truncate the frame) -------
             send_fault = None
-            action = _fire(injector, "worker.send")
+            action = fire_hook(injector, "worker.send")
             if getattr(action, "kind", None) in ("drop_frame", "truncate_frame"):
                 send_fault = action.kind
             try:
@@ -213,26 +205,8 @@ def serve(
                 break  # coordinator gone mid-result: lease machinery recovers
             completed += 1
     finally:
-        try:
-            sock.close()
-        except OSError:
-            pass
+        sock.close()
     return completed
-
-
-def _load_injector(plan_text: Optional[str]) -> Optional[object]:
-    """Build a FaultInjector from ``--fault-plan`` (JSON text or a path).
-
-    Imported lazily so production workers never touch ``repro.faults``.
-    """
-    if not plan_text:
-        return None
-    from ..faults.plan import FaultPlan  # local import: chaos only
-
-    if os.path.exists(plan_text):
-        with open(plan_text, encoding="utf-8") as fh:
-            plan_text = fh.read()
-    return FaultPlan.from_json(plan_text).injector()
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -271,7 +245,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not host or not port_text.isdigit():
         parser.error(f"--connect must be HOST:PORT, got {args.connect!r}")
     try:
-        injector = _load_injector(args.fault_plan)
+        injector = None
+        if args.fault_plan:
+            from ..faults.plan import FaultPlan  # chaos only: never at load time
+
+            injector = FaultPlan.load(args.fault_plan).injector()
         serve(
             host,
             int(port_text),

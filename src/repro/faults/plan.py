@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import threading
 from dataclasses import dataclass, field
@@ -275,6 +276,14 @@ class FaultPlan:
             for a in data.get("actions", ())
         )
         return cls(seed=int(data.get("seed", 0)), actions=actions)
+
+    @classmethod
+    def load(cls, text_or_path: str) -> "FaultPlan":
+        """Parse ``--fault-plan``: JSON text, or the path of a file holding it."""
+        if os.path.exists(text_or_path):
+            with open(text_or_path, encoding="utf-8") as fh:
+                text_or_path = fh.read()
+        return cls.from_json(text_or_path)
 
     # -- execution -----------------------------------------------------
     def injector(self) -> "FaultInjector":

@@ -2,8 +2,9 @@
 
 The worker side of the :mod:`repro.live.fleet` supervisor.  A client
 process connects *back* to its supervisor over the PR-2 length-prefixed
-frame protocol (:mod:`repro.exec.protocol` — same versioned handshake
-as the cluster executor's workers), receives its slice of
+frame protocol with :func:`~repro.exec.protocol.connect_back` — the
+cluster executor's workers use the same call; here the ``hello`` also
+carries the run's token and the slot — receives its slice of
 :class:`~repro.live.driver.InstanceAssignment` work orders, and runs
 them on the unchanged in-process driver core
 (:func:`~repro.live.driver.drive_assignments`): the identical
@@ -47,7 +48,7 @@ import threading
 import time
 from typing import Dict, List, Optional
 
-from ..exec.protocol import ProtocolError, hello, recv_msg, send_msg
+from ..exec.protocol import ProtocolError, connect_back, recv_msg, send_msg
 from .driver import LiveMeasurementError, drive_assignments
 
 __all__ = ["main", "CRASH_EXIT_CODE"]
@@ -145,18 +146,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--token", required=True)
     args = parser.parse_args(argv)
     host, _, port_s = args.connect.rpartition(":")
-    sock = socket.create_connection((host, int(port_s)), timeout=10.0)
+    sock = None
     try:
-        sock.settimeout(30.0)
-        greeting = hello(worker=f"client{args.slot}")
-        greeting["token"] = args.token
-        greeting["slot"] = args.slot
-        send_msg(sock, greeting)
-        reply = recv_msg(sock)
-        if reply is None or reply.get("type") != "welcome":
-            reason = (reply or {}).get("reason", "connection closed")
-            print(f"clientproc[{args.slot}]: rejected: {reason}", file=sys.stderr)
-            return 1
+        sock = connect_back(
+            host, int(port_s), f"client{args.slot}", 30.0,
+            token=args.token, slot=args.slot,
+        )
         assign = recv_msg(sock)
         if assign is None or assign.get("type") != "assign":
             print(f"clientproc[{args.slot}]: no assignment", file=sys.stderr)
@@ -164,15 +159,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         sock.settimeout(None)
         return _run_slice(sock, args.slot, assign)
     except (ProtocolError, OSError) as exc:
-        # The supervisor vanished (or dropped our frames): nothing to
-        # report to, so exit non-zero and let the fleet ledger account.
+        # Rejected, or the supervisor vanished (or dropped our frames):
+        # nothing to report to, so exit non-zero and let the fleet
+        # ledger account.
         print(f"clientproc[{args.slot}]: {exc}", file=sys.stderr)
         return 1
     finally:
-        try:
+        if sock is not None:
             sock.close()
-        except OSError:  # pragma: no cover - platform noise
-            pass
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via subprocess

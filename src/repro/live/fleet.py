@@ -11,13 +11,18 @@ RNG registry keys gap streams by instance *name*, so the fleet's
 offered load composes to the identical schedule, process boundaries
 notwithstanding.
 
-The supervisor is deliberately the same shape as the PR-3 cluster
-coordinator, because a fleet is only trustworthy if it survives its
-own failures:
+The supervisor shares its child plumbing with the cluster executor,
+because a fleet is only trustworthy if it survives its own failures.
+Children start and stop through :mod:`repro.exec.supervise`
+(``spawn_child`` / ``stop_children``); the respawn policy below is
+the fleet's own:
 
 * clients connect back over the PR-2 **frame protocol** with the
-  versioned handshake, then stream **heartbeats** (progress counters,
-  partial :class:`~repro.core.treadmill.PhaseRecorder` state, and a
+  cluster workers' versioned handshake plus a per-run token
+  (:func:`~repro.exec.protocol.connect_back` /
+  :func:`~repro.exec.protocol.accept_hello`), then stream
+  **heartbeats** (progress counters, partial
+  :class:`~repro.core.treadmill.PhaseRecorder` state, and a
   process-CPU fraction) every ``heartbeat_interval_s``;
 * a missed **heartbeat deadline** or an unexpected exit is a crash;
   crashed slots are **respawned** under a per-slot budget with the
@@ -52,11 +57,9 @@ against a perfectly healthy client.
 
 from __future__ import annotations
 
-import os
 import secrets
 import socket
 import subprocess
-import sys
 import threading
 import time
 from typing import Dict, List, Optional
@@ -65,7 +68,8 @@ import numpy as np
 
 from ..exec.api import HealthPolicy
 from ..exec.distributed import CircuitBreaker
-from ..exec.protocol import ProtocolError, handshake_reply, recv_msg, send_msg
+from ..exec.protocol import ProtocolError, accept_hello, recv_msg, send_msg
+from ..exec.supervise import fire_hook, spawn_child, stop_children
 from .backoff import RESPAWN_CHANNEL, jitter_rng, next_delay
 from .driver import (
     InstanceAssignment,
@@ -181,25 +185,16 @@ class FleetRun:
     # -- spawn / kill ---------------------------------------------------
     def _spawn(self, slot: _Slot, now: float) -> None:
         directive = None
-        injector = self.options.injector
-        if injector is not None:
-            action = injector.fire("fleet.spawn")
-            if action is not None:
-                if action.kind == "client_proc_crash":
-                    directive = {
-                        "kind": "crash",
-                        "after_s": float(getattr(action, "seconds", 0.2) or 0.2),
-                    }
-                elif action.kind == "client_proc_hang":
-                    directive = {"kind": "hang"}
-                self._event("fault-directive", f"{action.kind} -> {slot.name}")
-        env = dict(os.environ)
-        import repro
-
-        pkg_parent = os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))
-        )
-        env["PYTHONPATH"] = pkg_parent + os.pathsep + env.get("PYTHONPATH", "")
+        action = fire_hook(self.options.injector, "fleet.spawn")
+        if action is not None:
+            if action.kind == "client_proc_crash":
+                directive = {
+                    "kind": "crash",
+                    "after_s": float(getattr(action, "seconds", 0.2) or 0.2),
+                }
+            elif action.kind == "client_proc_hang":
+                directive = {"kind": "hang"}
+            self._event("fault-directive", f"{action.kind} -> {slot.name}")
         host, port = self._listener.getsockname()[:2]
         with slot.lock:
             slot.incarnation += 1
@@ -212,33 +207,16 @@ class FleetRun:
             slot.last_beat = now
             slot.beat_grace = _STARTUP_GRACE_S
             slot.state = "running"
-            slot.proc = subprocess.Popen(
+            # CI's pkill steps match this argv (``--slot N --token``).
+            slot.proc = spawn_child(
+                "repro.live.clientproc",
                 [
-                    sys.executable,
-                    "-m",
-                    "repro.live.clientproc",
-                    "--connect",
-                    f"{host}:{port}",
-                    "--slot",
-                    str(slot.slot),
-                    "--token",
-                    self._token,
+                    "--connect", f"{host}:{port}",
+                    "--slot", str(slot.slot),
+                    "--token", self._token,
                 ],
-                env=env,
-                stdout=subprocess.DEVNULL,
             )
         self._event("spawn", f"{slot.name} incarnation {slot.incarnation}")
-
-    @staticmethod
-    def _kill(slot: _Slot) -> None:
-        proc = slot.proc
-        if proc is None or proc.poll() is not None:
-            return
-        proc.kill()
-        try:
-            proc.wait(timeout=5.0)
-        except subprocess.TimeoutExpired:  # pragma: no cover - kernel lag
-            pass
 
     # -- connection handling --------------------------------------------
     def _accept_loop(self) -> None:
@@ -254,22 +232,11 @@ class FleetRun:
     def _serve_client(self, conn: socket.socket) -> None:
         try:
             conn.settimeout(10.0)
-            greeting = recv_msg(conn)
+            greeting = accept_hello(conn, token=self._token)
             if greeting is None:
-                conn.close()
-                return
-            if greeting.get("token") != self._token:
-                send_msg(conn, {"type": "reject", "reason": "bad token"})
-                conn.close()
-                return
-            reply = handshake_reply(greeting)
-            send_msg(conn, reply)
-            if reply["type"] != "welcome":
-                conn.close()
                 return
             slot_idx = int(greeting.get("slot", -1))
             if not 0 <= slot_idx < len(self.slots):
-                conn.close()
                 return
             slot = self.slots[slot_idx]
             with slot.lock:
@@ -298,10 +265,7 @@ class FleetRun:
         except (ProtocolError, OSError) as exc:
             self._event("protocol-error", str(exc))
         finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - platform noise
-                pass
+            conn.close()
 
     def _client_options(self) -> LiveOptions:
         # processes=1 and no injector: the client must not recurse into
@@ -327,11 +291,10 @@ class FleetRun:
                     return  # stale incarnation; its frames are history
                 kind = msg.get("type")
                 if kind == "heartbeat":
-                    if injector is not None:
-                        action = injector.fire("fleet.heartbeat")
-                        if action is not None and action.kind == "fleet_frame_drop":
-                            self.dropped_heartbeats += 1
-                            continue  # the deadline machinery takes it
+                    action = fire_hook(injector, "fleet.heartbeat")
+                    if getattr(action, "kind", None) == "fleet_frame_drop":
+                        self.dropped_heartbeats += 1
+                        continue  # the deadline machinery takes it
                     slot.last_beat = now
                     slot.beat_grace = 0.0
                     slot.last_partial = msg.get("partial", {})
@@ -361,7 +324,7 @@ class FleetRun:
         slot.lost_reason = reason
         self.lost_clients += 1
         self._event("client-lost", f"{slot.name}: {reason}")
-        self._kill(slot)
+        stop_children([slot.proc], grace_s=0.0)
 
     def _check_loss_bound(self) -> None:
         fraction = self.lost_clients / len(self.slots)
@@ -381,7 +344,7 @@ class FleetRun:
 
     def _handle_failure(self, slot: _Slot, reason: str, now: float) -> None:
         """One incarnation of ``slot`` is gone; respawn or give up."""
-        self._kill(slot)
+        stop_children([slot.proc], grace_s=0.0)
         tripped = self.breaker.record_failure(slot.name, now)
         budget_left = slot.respawns_used < self.options.respawn_attempts
         if budget_left and not tripped and self.breaker.allow(slot.name, now):
@@ -425,12 +388,8 @@ class FleetRun:
                 self._spawn(slot, now)
             self._supervise()
         finally:
-            for slot in self.slots:
-                self._kill(slot)
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover - platform noise
-                pass
+            stop_children([s.proc for s in self.slots if s.proc], grace_s=0.0)
+            self._listener.close()
         return self._merge(max(time.perf_counter() - t0, 1e-9))
 
     def _supervise(self) -> None:

@@ -15,11 +15,14 @@ Four layers, tested separately so failures localize:
 import os
 import pickle
 import socket
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.procedure import MeasurementProcedure, ProcedureConfig
 from repro.exec import (
     ClusterExecutor,
@@ -33,6 +36,7 @@ from repro.exec import (
     make_executor,
 )
 from repro.exec import protocol as proto
+from repro.exec import supervise
 from repro.exec.distributed import Coordinator, _Batch, digest_of
 from repro.exec.spec import spec_digest
 from repro.exec.worker import serve
@@ -193,6 +197,84 @@ class TestHandshake:
 
     def test_non_hello_rejected(self):
         assert proto.handshake_reply({"type": "get"})["type"] == "reject"
+
+    def test_wrong_token_is_rejected(self):
+        a, b = socket.socketpair()
+        try:
+            proto.send_msg(a, {**proto.hello("client0"), "token": "wrong"})
+            assert proto.accept_hello(b, token="right") is None
+            assert proto.recv_msg(a) == {"type": "reject", "reason": "bad token"}
+        finally:
+            a.close()
+            b.close()
+
+    def test_right_token_is_welcomed(self):
+        a, b = socket.socketpair()
+        try:
+            proto.send_msg(a, {**proto.hello("client0"), "token": "right", "slot": 2})
+            greeting = proto.accept_hello(b, token="right")
+            assert greeting["slot"] == 2
+            assert proto.recv_msg(a)["type"] == "welcome"
+        finally:
+            a.close()
+            b.close()
+
+    def test_connect_back_raises_with_the_reject_reason(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def supervisor():
+            conn, _ = listener.accept()
+            with conn:
+                proto.accept_hello(conn, token="right")
+
+        thread = threading.Thread(target=supervisor, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(proto.ProtocolError, match="bad token"):
+                proto.connect_back(
+                    *listener.getsockname()[:2], "client0", 5.0, token="wrong"
+                )
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        finally:
+            listener.close()
+
+    def test_serve_gives_up_on_a_silent_coordinator(self):
+        # Accepts TCP (the kernel completes the connect) but never replies.
+        listener = socket.create_server(("127.0.0.1", 0))
+        outcome = {}
+
+        def worker():
+            try:
+                serve(*listener.getsockname()[:2], connect_timeout=0.5)
+            except Exception as err:
+                outcome["error"] = err
+
+        thread = threading.Thread(target=worker, daemon=True)
+        thread.start()
+        try:
+            thread.join(timeout=5.0)
+            assert not thread.is_alive(), "serve() hung on a silent coordinator"
+            assert isinstance(outcome.get("error"), (proto.ProtocolError, OSError))
+        finally:
+            listener.close()
+
+    def test_spawn_child_env_puts_the_package_parent_first(self, monkeypatch):
+        seen = {}
+
+        def fake_popen(argv, **kwargs):
+            seen.update(kwargs, argv=argv)
+            return "proc"
+
+        monkeypatch.setattr(supervise.subprocess, "Popen", fake_popen)
+        assert supervise.spawn_child("repro.exec.worker", ["--max-tasks", "1"]) == "proc"
+        assert seen["argv"] == [
+            sys.executable, "-m", "repro.exec.worker", "--max-tasks", "1"
+        ]
+        assert seen["stdout"] is subprocess.DEVNULL
+        parts = seen["env"]["PYTHONPATH"].split(os.pathsep)
+        assert parts[0] == os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        assert parts[1:] == [p for p in sys.path if p]
 
 
 class TestTaskReference:

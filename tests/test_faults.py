@@ -526,7 +526,7 @@ class TestResilienceDefaults:
             assert cluster["health"].min_healthy_workers == 1
 
     def test_cli_parses_resilience_flags(self, tmp_path):
-        from repro.cli import _load_fault_plan, build_parser
+        from repro.cli import build_parser
 
         parser = build_parser()
         args = parser.parse_args(
@@ -543,11 +543,11 @@ class TestResilienceDefaults:
         )
         assert args.retries == 2
         assert args.min_healthy_workers == 1
-        assert _load_fault_plan(args.fault_plan) == FaultPlan.generate(3)
+        assert FaultPlan.load(args.fault_plan) == FaultPlan.generate(3)
         # ...and from a file path, as repro-worker accepts.
         path = tmp_path / "plan.json"
         path.write_text(FaultPlan.generate(4).to_json())
-        assert _load_fault_plan(str(path)) == FaultPlan.generate(4)
+        assert FaultPlan.load(str(path)) == FaultPlan.generate(4)
 
 
 # ----------------------------------------------------------------------
