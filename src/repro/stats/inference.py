@@ -9,7 +9,10 @@ estimates:
   samples within a run are correlated (shared boot state — the very
   hysteresis the paper documents), so resampling raw samples would
   understate the variance.  z-scores against the bootstrap SE give
-  two-sided p-values.
+  two-sided p-values.  The design and the per-run responses are built
+  once; each resample is a row index into them, since neither changes
+  when runs are redrawn within their cells.  A bootstrap that cannot
+  show spread (one resample, or one run per cell) reports NaN.
 
 * **pseudo-R²** (Equation 2, Fig. 11).  Quantile regression has no
   classical R²; the paper defines one as ``1 - L_model / L_const``
@@ -31,7 +34,12 @@ import numpy as np
 from scipy import stats as _scipy_stats
 
 from .design import model_matrix
-from .quantreg import QuantRegResult, fit_quantile_regression, pinball_loss
+from .quantreg import (
+    QuantRegResult,
+    _saturated_layout,
+    fit_quantile_regression,
+    pinball_loss,
+)
 
 __all__ = [
     "ExperimentSample",
@@ -151,44 +159,66 @@ def fit_with_inference(
 
     The bootstrap resamples experiments with replacement *within each
     configuration cell*, preserving the balanced design while
-    capturing run-to-run (hysteresis) variance.
+    capturing run-to-run (hysteresis) variance.  ``(X, y)`` is built
+    once and every resample fits the picked experiments' rows of it
+    (one row per run, or the run's block of samples for ``"raw"``), so
+    per-run quantiles are computed once per call.  With ``n_boot == 1``
+    or a single experiment in every cell, the standard errors and
+    p-values are NaN: there is no run-to-run spread to measure.  The
+    resamples are still drawn, so an RNG shared with later fits
+    advances exactly as in a full bootstrap.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     if response == "run_quantile":
-        build = lambda exps: run_quantile_design(exps, names, tau, max_order)
+        X, y, columns = run_quantile_design(experiments, names, tau, max_order)
+        sizes = [1] * len(experiments)
         eff_tau = fit_tau
     elif response == "raw":
-        build = lambda exps: expand_design(exps, names, max_order)
+        X, y, columns = expand_design(experiments, names, max_order)
+        sizes = [exp.samples.size for exp in experiments]
         eff_tau = tau
     else:
         raise ValueError(f"unknown response design {response!r}")
-    X, y, columns = build(experiments)
+    # Each experiment's rows of (X, y): one row, or its block of samples.
+    blocks = np.split(np.arange(y.size), np.cumsum(sizes)[:-1])
+    # Within-cell resampling keeps every row's cell, so a saturated
+    # design's cell layout is shared by the point fit and every resample.
+    layout = _saturated_layout(X)
     result = fit_quantile_regression(
-        X, y, eff_tau, columns=columns, method=method, perturb_sd=perturb_sd, rng=rng
+        X, y, eff_tau, columns=columns, method=method, perturb_sd=perturb_sd,
+        rng=rng, _layout=layout,
     )
     result.tau = tau
     r2 = pseudo_r2(y, X @ result.coefficients, eff_tau)
 
     if n_boot > 0:
-        by_cell: Dict[Tuple[int, ...], List[ExperimentSample]] = {}
-        for exp in experiments:
-            by_cell.setdefault(tuple(exp.coded), []).append(exp)
+        by_cell: Dict[Tuple[int, ...], List[int]] = {}
+        for i, exp in enumerate(experiments):
+            by_cell.setdefault(tuple(exp.coded), []).append(i)
         boots = np.empty((n_boot, len(columns)))
         for b in range(n_boot):
-            resampled: List[ExperimentSample] = []
-            for cell_exps in by_cell.values():
-                idx = rng.integers(0, len(cell_exps), size=len(cell_exps))
-                resampled.extend(cell_exps[i] for i in idx)
-            Xb, yb, _ = build(resampled)
+            picked: List[int] = []
+            for cell in by_cell.values():
+                draw = rng.integers(0, len(cell), size=len(cell))
+                picked.extend(cell[i] for i in draw)
+            idx = np.concatenate([blocks[e] for e in picked])
+            cells = None if layout is None else (layout[0], layout[1][idx])
             fit = fit_quantile_regression(
-                Xb, yb, eff_tau, method=method, perturb_sd=perturb_sd, rng=rng
+                X[idx], y[idx], eff_tau, method=method, perturb_sd=perturb_sd,
+                rng=rng, _layout=cells,
             )
             boots[b] = fit.coefficients
-        stderr = boots.std(axis=0, ddof=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(stderr > 0, result.coefficients / stderr, np.inf)
-        p_values = 2.0 * _scipy_stats.norm.sf(np.abs(z))
+        if n_boot > 1 and any(len(cell) > 1 for cell in by_cell.values()):
+            stderr = boots.std(axis=0, ddof=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                z = np.where(stderr > 0, result.coefficients / stderr, np.inf)
+            p_values = 2.0 * _scipy_stats.norm.sf(np.abs(z))
+        else:
+            # One resample has no spread, and single-run cells can only
+            # redraw the data itself: the spread would be perturb_sd's.
+            stderr = np.full(len(columns), np.nan)
+            p_values = stderr.copy()
         result.stderr = stderr
         result.p_values = p_values
     return result, r2

@@ -32,7 +32,7 @@ fitting.  :func:`fit_quantile_regression` exposes the same knob
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -96,25 +96,34 @@ def _weighted_quantile(values: np.ndarray, weights: np.ndarray, tau: float) -> f
     return float(v[min(idx, v.size - 1)])
 
 
-def _fit_saturated(
-    X: np.ndarray, y: np.ndarray, tau: float, weights: np.ndarray
-) -> Optional[np.ndarray]:
-    """Exact fit when the design is saturated; None when not applicable.
+_Layout = Tuple[np.ndarray, np.ndarray]
+
+
+def _saturated_layout(X: np.ndarray) -> Optional[_Layout]:
+    """``(distinct rows, each row's cell)`` when X is saturated, else None.
 
     Saturated means: the number of distinct rows of X equals the number
     of columns and those rows are linearly independent, so the model
-    can represent any per-cell quantile vector exactly.
+    can represent any per-cell quantile vector exactly.  Cells are
+    numbered in sorted row order, so resampling rows within their
+    cells (``X[idx]``) keeps the layout ``(uniq, cells[idx])``.
     """
     uniq, inverse = np.unique(X, axis=0, return_inverse=True)
     p = X.shape[1]
-    if uniq.shape[0] != p:
+    if uniq.shape[0] != p or np.linalg.matrix_rank(uniq) < p:
         return None
-    if np.linalg.matrix_rank(uniq) < p:
-        return None
-    cell_q = np.empty(p)
-    for cell in range(p):
-        mask = inverse == cell
-        cell_q[cell] = _weighted_quantile(y[mask], weights[mask], tau)
+    return uniq, inverse.ravel()
+
+
+def _fit_saturated(
+    layout: _Layout, y: np.ndarray, tau: float, weights: np.ndarray
+) -> np.ndarray:
+    """Exact fit on a saturated layout: each cell's weighted empirical
+    tau-quantile, then one p x p solve."""
+    uniq, cells = layout
+    order = np.argsort(cells, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(cells, minlength=len(uniq)))[:-1])
+    cell_q = np.array([_weighted_quantile(y[m], weights[m], tau) for m in members])
     return np.linalg.solve(uniq, cell_q)
 
 
@@ -142,6 +151,8 @@ def fit_quantile_regression(
     method: str = "auto",
     perturb_sd: float = 0.0,
     rng: Optional[np.random.Generator] = None,
+    *,
+    _layout: Optional[_Layout] = None,
 ) -> QuantRegResult:
     """Fit one quantile-regression model.
 
@@ -195,8 +206,8 @@ def fit_quantile_regression(
     beta = None
     used = method
     if method in ("auto", "saturated"):
-        beta = _fit_saturated(X, y, tau, w)
-        if beta is None:
+        layout = _saturated_layout(X) if _layout is None else _layout
+        if layout is None:
             if method == "saturated":
                 raise ValueError(
                     "design is not saturated (distinct rows != columns); "
@@ -204,6 +215,7 @@ def fit_quantile_regression(
                 )
             used = "lp"
         else:
+            beta = _fit_saturated(layout, y, tau, w)
             used = "saturated"
     if beta is None:
         if method not in ("auto", "lp"):

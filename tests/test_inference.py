@@ -1,8 +1,13 @@
 """Unit tests for QR inference: pseudo-R², bootstrap, screening."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.core.attribution import fit_report
+from repro.stats import inference
 from repro.stats.design import Factor, FactorialDesign
 from repro.stats.inference import (
     ExperimentSample,
@@ -33,6 +38,35 @@ def synthetic_experiments(effects, reps=8, samples=300, noise=5.0, seed=0):
 
 
 EFFECTS = {(0, 0): 100.0, (1, 0): 150.0, (0, 1): 90.0, (1, 1): 160.0}
+
+FACTORS_2X4 = [Factor(n, "lo", "hi") for n in ("numa", "turbo", "dvfs", "nic")]
+
+
+def table4_experiments(reps=2, samples=400, seed=11):
+    """A Table-IV-shaped set: 2^4 cells x ``reps`` runs, each run with
+    its own hysteresis shift and exponential per-request noise."""
+    rng = np.random.default_rng(seed)
+    exps = []
+    for cfg in FactorialDesign(FACTORS_2X4).configs():
+        base = 100.0 + 30.0 * cfg[0] - 12.0 * cfg[1] + 8.0 * cfg[0] * cfg[3]
+        for _ in range(reps):
+            shift = rng.normal(0.0, 4.0)
+            exps.append(
+                ExperimentSample(
+                    coded=cfg, samples=base + shift + rng.exponential(6.0, samples)
+                )
+            )
+    return exps
+
+
+def fit_digest(fits):
+    """sha256 over every Table-IV column of ``(fit, pseudo_r2)`` pairs."""
+    h = hashlib.sha256()
+    for fit, r2 in fits:
+        for arr in (fit.coefficients, fit.stderr, fit.p_values):
+            h.update(np.asarray(arr, dtype=float).tobytes())
+        h.update(repr(float(r2)).encode())
+    return h.hexdigest()
 
 
 class TestExperimentSample:
@@ -150,6 +184,76 @@ class TestFitWithInference:
             exps, ["a", "b"], 0.9, n_boot=30, rng=np.random.default_rng(1)
         )
         assert np.array_equal(a.stderr, b.stderr)
+
+    def test_fit_report_digest_frozen(self):
+        """Coefficients, SEs, p-values and pseudo-R² of a seeded 2^4 x 2
+        study over three quantiles, pinned bit for bit."""
+        report = fit_report(
+            table4_experiments(), FACTORS_2X4, (0.5, 0.95, 0.99), n_boot=40, seed=3
+        )
+        digest = fit_digest((report.fits[t], report.pseudo_r2[t]) for t in report.taus)
+        assert digest == "030747262d3b6037129be292fae32846208e74b3e2e3ec043ff753d49cd4e399"
+
+    def test_raw_response_digest_frozen(self):
+        exps = table4_experiments(samples=150, seed=12)
+        names = [f.name for f in FACTORS_2X4]
+        rng = np.random.default_rng(5)
+        fits = [
+            fit_with_inference(exps, names, tau, n_boot=10, response="raw", rng=rng)
+            for tau in (0.5, 0.99)
+        ]
+        assert fit_digest(fits) == "789977b20c763df5cfdfb5db578c8e253eb0713686e88a33611ee569da806f72"
+
+    def test_run_quantiles_computed_once(self, monkeypatch):
+        """Resampling reuses each run's quantile: one np.quantile per
+        run, plus one for pseudo-R²'s constant model."""
+        calls = []
+        real = np.quantile
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(inference.np, "quantile", counting)
+        exps = synthetic_experiments(EFFECTS, reps=3, seed=13)
+        fit_with_inference(exps, ["a", "b"], tau=0.9, n_boot=25)
+        assert len(calls) == len(exps) + 1
+
+    def _assert_degenerate(self, exps, n_boot):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit, _ = fit_with_inference(
+                exps, ["a", "b"], 0.9, n_boot=n_boot, rng=np.random.default_rng(1)
+            )
+        point, _ = fit_with_inference(
+            exps, ["a", "b"], 0.9, n_boot=0, rng=np.random.default_rng(1)
+        )
+        assert np.array_equal(fit.coefficients, point.coefficients)
+        assert np.isnan(fit.stderr).all() and np.isnan(fit.p_values).all()
+        return fit
+
+    def test_single_resample_has_no_stderr(self):
+        """One resample cannot give a spread: NaN, not p = 0."""
+        self._assert_degenerate(synthetic_experiments(EFFECTS, reps=2, seed=14), 1)
+
+    def test_single_run_cells_have_no_stderr(self):
+        """With one run per cell every resample reproduces the data; the
+        bootstrap spread would be perturbation noise alone."""
+        self._assert_degenerate(synthetic_experiments(EFFECTS, reps=1, seed=15), 50)
+
+    def test_degenerate_bootstrap_keeps_rng_stream(self):
+        """A later fit sharing the RNG sees the same draws either way."""
+        exps = synthetic_experiments(EFFECTS, reps=1, seed=16)
+        rng = np.random.default_rng(2)
+        fit_with_inference(exps, ["a", "b"], 0.5, n_boot=7, rng=rng)
+        after = rng.random()
+        rng = np.random.default_rng(2)
+        fit_with_inference(exps, ["a", "b"], 0.5, n_boot=0, rng=rng)
+        for _ in range(7):
+            for _ in range(len(exps)):
+                rng.integers(0, 1, size=1)
+            rng.normal(0.0, 0.01, size=len(exps))
+        assert rng.random() == after
 
 
 class TestScreenFactor:
